@@ -16,7 +16,7 @@
 //	sdvmbench -exp idalloc           # A-4 id-allocation strategies
 //	sdvmbench -exp central           # A-5 central vs decentralized
 //	sdvmbench -exp memstress         # P-1 sharded attraction-memory throughput
-//	sdvmbench -exp helpstorm         # P-2 batched help grants + coalescing
+//	sdvmbench -exp helpstorm         # P-2 batched help grants
 //	sdvmbench -exp scalestorm        # P-4 gossip membership at 64–256 sites
 //	sdvmbench -exp memread           # P-5 read replicas on a read-hot working set
 //	sdvmbench -exp all               # everything
@@ -195,7 +195,7 @@ func main() {
 	}
 	if all || want["helpstorm"] {
 		any = true
-		run("helpstorm", "P-2 — batched help grants and message coalescing", func(s *bench.Summary) error {
+		run("helpstorm", "P-2 — batched help grants", func(s *bench.Summary) error {
 			if report == nil {
 				s = nil
 			}
@@ -458,17 +458,20 @@ func expHelpStorm(spec bench.Spec, cost float64, sum *bench.Summary) error {
 	if res.Grants > 0 {
 		avg = float64(res.GrantFrames) / float64(res.Grants)
 	}
-	fmt.Printf("    single grants: %v   batched+coalesced: %v\n",
+	fmt.Printf("    single grants: %v   batched grants: %v\n",
 		res.Single.Round(time.Millisecond), res.Batched.Round(time.Millisecond))
-	fmt.Printf("    batched run: %d grants moved %d frames (avg %.1f/reply), %d messages coalesced\n",
-		res.Grants, res.GrantFrames, avg, res.Coalesced)
+	fmt.Printf("    batched run: %d grants moved %d frames (avg %.1f/reply)\n",
+		res.Grants, res.GrantFrames, avg)
+	fmt.Printf("    messages that shared an envelope: %d single, %d batched\n",
+		res.CoalescedSingle, res.Coalesced)
 	if sum != nil {
 		sum.Values = map[string]float64{
-			"single_ms":    float64(res.Single) / float64(time.Millisecond),
-			"batched_ms":   float64(res.Batched) / float64(time.Millisecond),
-			"grants":       float64(res.Grants),
-			"grant_frames": float64(res.GrantFrames),
-			"coalesced":    float64(res.Coalesced),
+			"single_ms":        float64(res.Single) / float64(time.Millisecond),
+			"batched_ms":       float64(res.Batched) / float64(time.Millisecond),
+			"grants":           float64(res.Grants),
+			"grant_frames":     float64(res.GrantFrames),
+			"coalesced_single": float64(res.CoalescedSingle),
+			"coalesced":        float64(res.Coalesced),
 		}
 	}
 	return nil

@@ -59,9 +59,6 @@ type Spec struct {
 	// NoCriticalPinning disables §3.3 critical-path scheduling hints
 	// (A-7 ablation).
 	NoCriticalPinning bool
-	// Coalesce enables per-peer small-message coalescing in every
-	// site's network manager (P-2 experiment).
-	Coalesce bool
 	// HelpBatch caps the frames one help reply may grant (0 = the
 	// scheduler's default; 1 restores pre-batching single grants).
 	HelpBatch int
@@ -105,7 +102,6 @@ func NewCluster(spec Spec) (*Cluster, error) {
 			RestartGrace:      spec.RestartGrace,
 			NoReadReplication: spec.NoReadReplication,
 			NoCriticalPinning: spec.NoCriticalPinning,
-			Coalesce:          spec.Coalesce,
 			HelpBatch:         spec.HelpBatch,
 			Metrics:           spec.Metrics,
 			Gossip:            spec.Gossip,

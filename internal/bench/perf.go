@@ -102,55 +102,59 @@ func MemStress(spec Spec, workers, addrsPerWorker, rounds, procs int) (MemStress
 	}, nil
 }
 
-// HelpStormResult is the P-2 batched-grant / coalescing measurement.
+// HelpStormResult is the P-2 batched-grant measurement.
 type HelpStormResult struct {
-	Single      time.Duration // HelpBatch=1, no coalescing (pre-batching behavior)
-	Batched     time.Duration // HelpBatch=8 + per-peer coalescing
-	Grants      int64         // batched run: help replies that granted frames
-	GrantFrames int64         // batched run: frames granted across those replies
-	Coalesced   int64         // batched run: messages delivered in multi-message envelopes
+	Single          time.Duration // HelpBatch=1 (pre-batching behavior)
+	Batched         time.Duration // HelpBatch=8
+	Grants          int64         // batched run: help replies that granted frames
+	GrantFrames     int64         // batched run: frames granted across those replies
+	CoalescedSingle int64         // single run: messages that shared an envelope
+	Coalesced       int64         // batched run: messages that shared an envelope
 }
 
 // HelpStorm runs the primes workload on a cluster whose idle sites keep
 // begging the busy one for work — the help-protocol hot path — once with
-// single-frame grants and once with batched grants plus per-peer message
-// coalescing, and reports the batching machinery's own counters from the
-// batched run.
+// single-frame grants and once with batched grants, and reports the
+// grant counters of the batched run and, from both, how many messages
+// the network manager packed into shared envelopes.
 func HelpStorm(spec Spec, p, width int, cost float64) (HelpStormResult, error) {
 	s := spec
 	s.Sites = 4
-	s.Coalesce = false
-	s.HelpBatch = 1
-	single, err := RunPrimes(s, p, width, cost)
-	if err != nil {
-		return HelpStormResult{}, err
-	}
-
-	s.Coalesce = true
-	s.HelpBatch = 8
 	s.Metrics = true
-	c, err := NewCluster(s)
+	run := func(helpBatch int) (time.Duration, map[string]int64, error) {
+		s.HelpBatch = helpBatch
+		c, err := NewCluster(s)
+		if err != nil {
+			return 0, nil, err
+		}
+		defer c.Close()
+		elapsed, raw, err := c.Run(workloads.PrimesApp(), workloads.PrimesArgs(p, width, cost)...)
+		if err != nil {
+			return 0, nil, err
+		}
+		primes := workloads.ParsePrimesResult(raw)
+		if len(primes) != p || primes[p-1] != workloads.NthPrime(p) {
+			return 0, nil, fmt.Errorf("bench: helpstorm result wrong (%d primes)", len(primes))
+		}
+		return elapsed, c.MetricsTotals(), nil
+	}
+	single, singleTotals, err := run(1)
 	if err != nil {
 		return HelpStormResult{}, err
 	}
-	defer c.Close()
-	elapsed, raw, err := c.Run(workloads.PrimesApp(), workloads.PrimesArgs(p, width, cost)...)
+	batched, totals, err := run(8)
 	if err != nil {
 		return HelpStormResult{}, err
 	}
-	primes := workloads.ParsePrimesResult(raw)
-	if len(primes) != p || primes[p-1] != workloads.NthPrime(p) {
-		return HelpStormResult{}, fmt.Errorf("bench: helpstorm result wrong (%d primes)", len(primes))
-	}
-	totals := c.MetricsTotals()
 	return HelpStormResult{
 		Single:  single,
-		Batched: elapsed,
+		Batched: batched,
 		// The grant histogram observes the batch size as a unitless
 		// Duration, so sum_ns is the total frames granted in batches.
-		Grants:      totals["sched.grant.batch.count"],
-		GrantFrames: totals["sched.grant.batch.sum_ns"],
-		Coalesced:   totals["net.coalesced"],
+		Grants:          totals["sched.grant.batch.count"],
+		GrantFrames:     totals["sched.grant.batch.sum_ns"],
+		CoalescedSingle: singleTotals["net.coalesced"],
+		Coalesced:       totals["net.coalesced"],
 	}, nil
 }
 

@@ -54,7 +54,7 @@ type Manager struct {
 	mu        sync.RWMutex
 	self      types.SiteInfo
 	sites     map[types.SiteID]types.SiteInfo // excludes self
-	departed  map[types.SiteID]bool           // signed-off or crashed
+	departed  map[types.SiteID]string         // signed-off or crashed → last physical address
 	alloc     IDAllocator
 	bootstrap bool
 
@@ -88,7 +88,7 @@ func New(bus *msgbus.Bus, cfg Config) *Manager {
 		cfg:      cfg,
 		rand:     rand.New(rand.NewSource(seed)),
 		sites:    make(map[types.SiteID]types.SiteInfo),
-		departed: make(map[types.SiteID]bool),
+		departed: make(map[types.SiteID]string),
 	}
 	bus.Register(types.MgrCluster, m)
 	return m
@@ -228,7 +228,7 @@ func (m *Manager) PhysAddr(id types.SiteID) (string, error) {
 	if s, ok := m.sites[id]; ok {
 		return s.PhysAddr, nil
 	}
-	if m.departed[id] {
+	if _, gone := m.departed[id]; gone {
 		return "", &types.SiteError{Err: types.ErrSiteLeft, Site: id}
 	}
 	return "", &types.SiteError{Err: types.ErrSiteUnknown, Site: id}
@@ -354,7 +354,23 @@ func (m *Manager) GossipMode() bool {
 func (m *Manager) Departed(id types.SiteID) bool {
 	m.mu.RLock()
 	defer m.mu.RUnlock()
-	return m.departed[id]
+	_, gone := m.departed[id]
+	return gone
+}
+
+// VacatedAddr returns the physical address departed site id listened
+// on, or "" when id has not departed or a live site has since taken the
+// address over — what the network manager may forget about id.
+func (m *Manager) VacatedAddr(id types.SiteID) string {
+	m.mu.RLock()
+	defer m.mu.RUnlock()
+	addr := m.departed[id]
+	for _, s := range m.sites {
+		if s.PhysAddr == addr {
+			return ""
+		}
+	}
+	return addr
 }
 
 // MergeSite adds or refreshes a peer entry learned out of band — the
@@ -394,7 +410,7 @@ func (m *Manager) merge(s types.SiteInfo) {
 	// The physical-address check covers the sign-on race: the cluster's
 	// announcement of *this* site can arrive before Join has recorded
 	// the assigned id, and must not create a phantom peer.
-	if s.ID == m.self.ID || s.PhysAddr == m.cfg.PhysAddr || m.departed[s.ID] {
+	if _, gone := m.departed[s.ID]; gone || s.ID == m.self.ID || s.PhysAddr == m.cfg.PhysAddr {
 		m.mu.Unlock()
 		return
 	}
@@ -415,9 +431,11 @@ func (m *Manager) merge(s types.SiteInfo) {
 // Remove drops a site from the list (sign-off or crash).
 func (m *Manager) Remove(id types.SiteID, crashed bool) {
 	m.mu.Lock()
-	_, known := m.sites[id]
+	s, known := m.sites[id]
 	delete(m.sites, id)
-	m.departed[id] = true
+	if _, gone := m.departed[id]; !gone {
+		m.departed[id] = s.PhysAddr
+	}
 	m.mu.Unlock()
 	if !known {
 		return

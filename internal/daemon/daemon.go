@@ -92,10 +92,6 @@ type Config struct {
 	LoadReportEvery time.Duration
 	// NoReadReplication disables COMA read replication (A-6 ablation).
 	NoReadReplication bool
-	// Coalesce enables per-peer small-message batching in the network
-	// manager: several datagrams to one peer travel in one sealed
-	// envelope. Liveness probes bypass the queue.
-	Coalesce bool
 	// HelpBatch caps how many frames one help reply may grant (0 =
 	// scheduler default; 1 restores single-frame grants).
 	HelpBatch int
@@ -218,9 +214,6 @@ func New(cfg Config) *Daemon {
 
 	resolver := &busResolver{}
 	d.Net = netmgr.New(cfg.Network, cfg.Security, func(datagram []byte) { d.Bus.OnDatagram(datagram) })
-	if cfg.Coalesce {
-		d.Net.SetCoalescing(netmgr.Coalesce{Enabled: true})
-	}
 	d.Bus = msgbus.New(resolver, d.Net)
 	d.Net.SetMetrics(d.Metrics)
 	d.Bus.SetMetrics(d.Metrics)
@@ -306,6 +299,11 @@ func New(cfg Config) *Daemon {
 	// sender-side logs for programs still running ([4]), and arm the
 	// submitter-side restart watchdog for locally submitted programs.
 	d.CM.OnLeave(func(id types.SiteID, crashed bool) {
+		// Whichever way the peer went, its connection and send state
+		// go with it; a site rejoining at the address is dialed anew.
+		if addr := d.CM.VacatedAddr(id); addr != "" {
+			d.Net.Forget(addr)
+		}
 		if !crashed {
 			// Graceful sign-off still severs coherence ties: replicas the
 			// leaver served move with evacuation, not with the leaver's

@@ -13,6 +13,7 @@ import (
 	"repro/internal/security"
 	"repro/internal/transport/inproc"
 	"repro/internal/types"
+	"repro/internal/wire"
 	"repro/internal/workloads"
 )
 
@@ -269,6 +270,61 @@ func TestSignOffMidRun(t *testing.T) {
 		t.Fatal("program did not terminate after sign-off")
 	}
 	checkPrimesResult(t, raw, 60)
+}
+
+// TestDepartedPeerForgotten checks that a peer's departure — signed
+// off or declared crashed — takes its connection and send state out of
+// the network manager, and that a site rejoining at the same address is
+// dialed afresh.
+func TestDepartedPeerForgotten(t *testing.T) {
+	ping := func(from *daemon.Daemon, to types.SiteID) error {
+		_, err := from.Bus.Request(to, types.MgrCluster, types.MgrCluster, &wire.Ping{Nonce: 1}, 5*time.Second)
+		return err
+	}
+	for _, crash := range []bool{false, true} {
+		fab, ds := testCluster(t, 3, func(i int, cfg *daemon.Config) {
+			cfg.Checkpoint = checkpoint.Config{
+				HeartbeatEvery:   40 * time.Millisecond,
+				HeartbeatTimeout: 100 * time.Millisecond,
+				MissLimit:        3,
+			}
+		})
+		if err := ping(ds[0], ds[2].Self()); err != nil {
+			t.Fatal(err)
+		}
+		if !ds[0].Net.HasPeer("site-2") {
+			t.Fatal("no per-peer state after talking to site-2")
+		}
+
+		if crash {
+			fab.KillSite("site-2")
+			ds[2].Kill()
+		} else if err := ds[2].SignOff(); err != nil {
+			t.Fatal(err)
+		}
+		deadline := time.Now().Add(10 * time.Second)
+		for ds[0].Net.HasPeer("site-2") {
+			if time.Now().After(deadline) {
+				t.Fatalf("crash=%v: site-0 still holds state for the departed site-2", crash)
+			}
+			time.Sleep(5 * time.Millisecond)
+		}
+
+		again := daemon.New(daemon.Config{
+			PhysAddr:  "site-2",
+			Network:   fab,
+			WorkModel: exec.WorkSimulated,
+			WorkUnit:  time.Millisecond,
+			Seed:      9,
+		})
+		if err := again.Join("site-0"); err != nil {
+			t.Fatalf("crash=%v: rejoin at the vacated address: %v", crash, err)
+		}
+		t.Cleanup(again.Kill)
+		if err := ping(ds[0], again.Self()); err != nil {
+			t.Fatalf("crash=%v: ping to the rejoined site: %v", crash, err)
+		}
+	}
 }
 
 func TestCrashRecovery(t *testing.T) {

@@ -27,8 +27,8 @@ type ClusterConfig struct {
 	// WorkUnit is the wall-clock span of one simulated Work unit
 	// (default 200µs).
 	WorkUnit time.Duration
-	// Batched enables message coalescing and wide help grants on every
-	// site (see Scenario.Batched).
+	// Batched enables wide help grants on every site (see
+	// Scenario.Batched).
 	Batched bool
 	// Gossip runs the cluster on the epidemic membership layer
 	// (internal/gossip): bounded digests instead of broadcast load
@@ -113,7 +113,6 @@ func (c *Cluster) startSite(index, gen int) (*Site, error) {
 		Seed:          c.cfg.Seed*1000 + int64(index) + 1,
 	}
 	if c.cfg.Batched {
-		cfg.Coalesce = true
 		cfg.HelpBatch = 8
 	}
 	cfg.Gossip = c.cfg.Gossip

@@ -70,11 +70,8 @@ type Scenario struct {
 	// Checkpoint enables the crash-management stack.
 	Checkpoint bool `json:"checkpoint"`
 
-	// Batched runs the cluster with the hot-path batching knobs on:
-	// per-peer message coalescing and multi-frame help grants. Chaos
-	// coverage for the fast path — batched grants must survive crashes
-	// via the grant log, and coalesced envelopes must tolerate lossy
-	// links.
+	// Batched runs the cluster with multi-frame help grants (HelpBatch
+	// 8): batched grants must survive crashes via the grant log.
 	Batched bool `json:"batched,omitempty"`
 
 	// Gossip runs the cluster on the epidemic membership layer: load,

@@ -55,30 +55,10 @@ type Resolver interface {
 // after it returns: the bus serializes into pooled wire.Writer buffers
 // and releases them the moment Send comes back, so an implementation
 // that defers transmission must copy first (the network manager's
-// coalescing path does exactly that).
+// batch envelopes do exactly that).
 type Sender interface {
 	//sdvm:borrowed datagram
 	Send(physAddr string, datagram []byte) error
-}
-
-// HintedSender is optionally implemented by senders that coalesce
-// small messages: SendUrgent bypasses the batching queue. The bus uses
-// it for liveness probes (Ping/Pong), whose round-trip time must
-// measure the network rather than a flush timer.
-type HintedSender interface {
-	//sdvm:borrowed datagram
-	SendUrgent(physAddr string, datagram []byte) error
-}
-
-// transmit sends buf to physAddr, routing liveness probes around any
-// coalescing queue the sender may have.
-func (b *Bus) transmit(kind wire.Kind, physAddr string, buf []byte) error {
-	if kind == wire.KindPing || kind == wire.KindPong {
-		if hs, ok := b.sender.(HintedSender); ok {
-			return hs.SendUrgent(physAddr, buf)
-		}
-	}
-	return b.sender.Send(physAddr, buf)
 }
 
 // Bus is one site's message manager.
@@ -409,7 +389,7 @@ func (b *Bus) RequestAddr(physAddr string, dstMgr, srcMgr types.ManagerID, p wir
 	w := wire.GetWriter(0)
 	m.Encode(w)
 	b.met.countOut(m.Payload.Kind(), w.Len())
-	err := b.transmit(m.Payload.Kind(), physAddr, w.Bytes())
+	err := b.sender.Send(physAddr, w.Bytes())
 	w.Release()
 	if err != nil {
 		cleanup()
@@ -472,7 +452,7 @@ func (b *Bus) route(m *wire.Message) error {
 }
 
 // sendRemote serializes m into a pooled writer and hands the bytes to
-// the sender. The buffer is released as soon as transmit returns — the
+// the sender. The buffer is released as soon as Send returns — the
 // Sender no-retention contract makes that sound.
 func (b *Bus) sendRemote(m *wire.Message) error {
 	addr, err := b.resolver.PhysAddr(m.Dst)
@@ -483,7 +463,7 @@ func (b *Bus) sendRemote(m *wire.Message) error {
 	w := wire.GetWriter(0)
 	m.Encode(w)
 	b.met.countOut(m.Payload.Kind(), w.Len())
-	err = b.transmit(m.Payload.Kind(), addr, w.Bytes())
+	err = b.sender.Send(addr, w.Bytes())
 	w.Release()
 	return err
 }

@@ -6,8 +6,9 @@
 // layer of the SDVM and "works with physical (ip) addresses only" — it
 // knows nothing about logical site ids, managers, or message contents.
 //
-// Outgoing datagrams pass through the security layer's Seal, incoming
-// ones through Open, realizing the paper's placement of the security
+// Outgoing datagrams pass through the security layer's SealInPlace,
+// incoming ones through OpenInPlace, realizing the paper's placement of
+// the security
 // manager between message manager and network manager. Connections are
 // cached per physical address and re-dialed transparently after failures,
 // amortizing TCP's connection-setup overhead (the paper's main complaint
@@ -18,7 +19,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"sync"
-	"time"
 
 	"repro/internal/metrics"
 	"repro/internal/security"
@@ -27,37 +27,43 @@ import (
 )
 
 // Envelope tags. Every plaintext datagram on the wire starts with one
-// tag byte so a receiver can always tell a single message from a
-// coalesced batch, regardless of whether its own sender coalesces.
+// tag byte so a receiver can always tell a single message from a batch.
 const (
 	tagSingle = 0x00
 	tagBatch  = 0x01 // followed by uint32-length-prefixed messages
 )
 
-// Coalesce configures per-peer small-message batching. Several logical
-// datagrams headed for the same peer are packed into one sealed
-// envelope, amortizing the per-datagram seal + syscall cost that
-// dominates for SDVM-sized messages. Off by default.
-type Coalesce struct {
-	Enabled  bool
-	MaxBytes int           // flush when a peer's pending batch reaches this size; default 8192
-	MaxDelay time.Duration // longest a message may wait for companions; default 500µs
+// envelopeCap is the size past which a pending batch envelope takes no
+// further records. A larger datagram still travels, in an envelope of
+// its own.
+const envelopeCap = 64 << 10
+
+// peer is everything the manager keeps about one remote listen address:
+// the cached connection, the send in flight, the envelope collecting
+// the sends that arrived behind it, and the byte counter.
+type peer struct {
+	bytes *metrics.Counter // net.peer_bytes.<addr>; nil with metrics off
+
+	mu   sync.Mutex
+	cond sync.Cond          // on mu; broadcast whenever a transmission ends
+	ep   transport.Endpoint // guarded by mu; dialed connection, nil when none
+	busy bool               // guarded by mu; a transmission is in flight
+	next *batch             // guarded by mu; envelope open for appending, nil when none
+	gone bool               // guarded by mu; retired by Forget or Close
 }
 
-// peerBatch accumulates not-yet-flushed datagrams for one peer. The
-// envelope is built incrementally in a pooled wire.Writer: each Send
-// copies its datagram into env at enqueue time (so callers may reuse
-// their buffer the moment Send returns) and the flush hands the whole
-// writer — seal headroom, tag, and records — to the transport without
-// a repack. The flush timer is allocated once per peer and re-armed
-// with Reset, not re-created per batch.
-type peerBatch struct {
-	mu    sync.Mutex
-	env   *wire.Writer // guarded by mu; nil between batches
-	count int          // guarded by mu; records in env
-	timer *time.Timer  // guarded by mu; created on first use, then reused
-	armed bool         // guarded by mu; a flush is scheduled
+// batch is one envelope shared by several Send calls. The caller that
+// opened it transmits it once the peer's in-flight send returns; the
+// callers that appended to it wait for that transmission's error.
+type batch struct {
+	env   *wire.Writer
+	count int   // records in env
+	refs  int   // callers that have not yet read err
+	done  bool  // env was transmitted (or failed); err is final
+	err   error // the transmission's result
 }
+
+var batchPool = sync.Pool{New: func() any { return new(batch) }}
 
 // Handler consumes one verified incoming datagram. It is called from a
 // per-connection receive goroutine; implementations hand off long work.
@@ -71,35 +77,24 @@ type Manager struct {
 
 	mu       sync.Mutex
 	listener transport.Listener
-	conns    map[string]transport.Endpoint // dialed, by remote listen address
-	live     map[transport.Endpoint]bool   // every endpoint with a recv loop
+	peers    map[string]*peer            // guarded by mu; by remote listen address
+	live     map[transport.Endpoint]bool // every endpoint with a recv loop
 	closed   bool
 	wg       sync.WaitGroup
 
-	// met holds the metrics instruments; nil when metrics are disabled.
-	// Written once by SetMetrics before Listen, read-only afterwards.
-	met *netMetrics
-	// peerBytes caches per-peer byte counters by physical address.
-	// guarded by mu
-	peerBytes map[string]*metrics.Counter
+	// met holds the metrics instruments, all nil when metrics are
+	// disabled. Written once by SetMetrics before Listen, read-only
+	// afterwards.
+	met netMetrics
 
-	// co holds the coalescing knobs. Written once by SetCoalescing
-	// before Listen, read-only afterwards.
-	co Coalesce
-	// batches holds the per-peer pending batches by physical address.
-	// guarded by mu
-	batches map[string]*peerBatch
-
-	// ip is sec when the security layer supports in-place sealing
-	// (both shipped layers do); nil forces the copying Seal/Open
-	// fallback. secPrefix/secSuffix cache its overheads so every
+	// secPrefix/secSuffix cache the security layer's overheads so every
 	// envelope is laid out with exactly the headroom the seal needs.
-	ip        security.InPlace
 	secPrefix int
 	secSuffix int
 }
 
-// netMetrics bundles the datagram-level instruments.
+// netMetrics bundles the datagram-level instruments; every field is
+// nil-safe, so the zero value disables collection.
 type netMetrics struct {
 	reg         *metrics.Registry
 	sendDgrams  *metrics.Counter
@@ -114,10 +109,7 @@ type netMetrics struct {
 // SetMetrics installs the instruments. Must be called before Listen; a nil
 // registry leaves metrics disabled.
 func (m *Manager) SetMetrics(reg *metrics.Registry) {
-	if reg == nil {
-		return
-	}
-	m.met = &netMetrics{
+	m.met = netMetrics{
 		reg:         reg,
 		sendDgrams:  reg.Counter("net.send_datagrams"),
 		recvDgrams:  reg.Counter("net.recv_datagrams"),
@@ -127,73 +119,35 @@ func (m *Manager) SetMetrics(reg *metrics.Registry) {
 		openRejects: reg.Counter("net.open_rejects"),
 		coalesced:   reg.Counter("net.coalesced"),
 	}
-	m.mu.Lock()
-	m.peerBytes = make(map[string]*metrics.Counter)
-	m.mu.Unlock()
-}
-
-// peerCounter returns the per-peer byte counter for physAddr, creating it
-// on first use. Returns nil when metrics are disabled.
-func (m *Manager) peerCounter(physAddr string) *metrics.Counter {
-	if m.met == nil {
-		return nil
-	}
-	m.mu.Lock()
-	c, ok := m.peerBytes[physAddr]
-	if !ok {
-		c = m.met.reg.Counter("net.peer_bytes." + physAddr)
-		m.peerBytes[physAddr] = c
-	}
-	m.mu.Unlock()
-	return c
 }
 
 // New returns a network manager using net for links and sec for sealing.
 func New(net transport.Network, sec security.Layer, handler Handler) *Manager {
-	m := &Manager{
-		net:     net,
-		sec:     sec,
-		handler: handler,
-		conns:   make(map[string]transport.Endpoint),
-		live:    make(map[transport.Endpoint]bool),
-		batches: make(map[string]*peerBatch),
+	return &Manager{
+		net:       net,
+		sec:       sec,
+		handler:   handler,
+		peers:     make(map[string]*peer),
+		live:      make(map[transport.Endpoint]bool),
+		secPrefix: sec.PrefixOverhead(),
+		secSuffix: sec.SuffixOverhead(),
 	}
-	if ip, ok := sec.(security.InPlace); ok {
-		m.ip = ip
-		m.secPrefix = ip.PrefixOverhead()
-		m.secSuffix = ip.SuffixOverhead()
-	}
-	return m
 }
 
-// SetCoalescing installs the batching knobs. Must be called before
-// Listen. With coalescing enabled, Send becomes fire-and-forget: the
-// datagram is queued and transmitted within MaxDelay (or sooner, once
-// MaxBytes of traffic for that peer accumulates); transmission errors
-// surface through the net.send_errors counter instead of the return
-// value. Receivers decode batches unconditionally, so coalescing may
-// be enabled per site.
-func (m *Manager) SetCoalescing(c Coalesce) {
-	if c.MaxBytes <= 0 {
-		c.MaxBytes = 8192
-	}
-	if c.MaxDelay <= 0 {
-		c.MaxDelay = 500 * time.Microsecond
-	}
-	m.co = c
-}
-
-// batch returns the pending-batch accumulator for physAddr, creating
-// it on first use.
-func (m *Manager) batch(physAddr string) *peerBatch {
+// peer returns the state kept for physAddr, creating it on first use.
+func (m *Manager) peer(physAddr string) (*peer, error) {
 	m.mu.Lock()
-	pb, ok := m.batches[physAddr]
-	if !ok {
-		pb = &peerBatch{}
-		m.batches[physAddr] = pb
+	defer m.mu.Unlock()
+	if m.closed {
+		return nil, transport.ErrClosed
 	}
-	m.mu.Unlock()
-	return pb
+	p, ok := m.peers[physAddr]
+	if !ok {
+		p = &peer{bytes: m.met.reg.Counter("net.peer_bytes." + physAddr)}
+		p.cond.L = &p.mu
+		m.peers[physAddr] = p
+	}
+	return p, nil
 }
 
 // Listen binds the site's listening point and starts the accept loop.
@@ -260,24 +214,15 @@ func (m *Manager) recvLoop(ep transport.Endpoint) {
 		if err != nil {
 			return
 		}
-		if mm := m.met; mm != nil {
-			mm.recvDgrams.Inc()
-			mm.recvBytes.Add(uint64(len(sealed)))
-		}
+		m.met.recvDgrams.Inc()
+		m.met.recvBytes.Add(uint64(len(sealed)))
 		// The receive loop exclusively owns sealed until the next Recv
 		// (the Endpoint contract), and deliver hands every record to
 		// the handler synchronously — so the destructive in-place open
 		// is safe and saves a full-datagram copy per receive.
-		var plain []byte
-		if m.ip != nil {
-			plain, err = m.ip.OpenInPlace(sealed)
-		} else {
-			plain, err = m.sec.Open(sealed)
-		}
+		plain, err := m.sec.OpenInPlace(sealed)
 		if err != nil {
-			if mm := m.met; mm != nil {
-				mm.openRejects.Inc()
-			}
+			m.met.openRejects.Inc()
 			continue
 		}
 		m.deliver(plain)
@@ -285,9 +230,8 @@ func (m *Manager) recvLoop(ep transport.Endpoint) {
 }
 
 // deliver unpacks one opened envelope and hands each contained message
-// to the handler. Batches are decoded unconditionally: whether a peer
-// coalesces is its own business. The unpacking itself is allocation-free
-// (each record is a subslice of the envelope).
+// to the handler. The unpacking itself is allocation-free (each record
+// is a subslice of the envelope).
 //
 //sdvm:hotpath
 //sdvm:borrowed plain
@@ -315,61 +259,110 @@ func (m *Manager) deliver(plain []byte) {
 }
 
 // Send seals and transmits one datagram to the peer listening at
-// physAddr. A cached connection is reused; on send failure one fresh
-// dial is attempted before giving up (the peer may have restarted).
-// With coalescing enabled the datagram is queued for the peer's next
-// batch instead and nil is returned immediately.
+// physAddr and returns the transport's verdict on the envelope that
+// carried it. An idle peer gets the datagram at once, alone in its
+// envelope. A Send that finds another send to the same peer in flight
+// appends its datagram to that peer's pending envelope instead; the
+// caller that opened the envelope transmits it as one batch the moment
+// the in-flight send returns, and every caller whose datagram rode it
+// gets that transmission's error. Batching is clocked by the link
+// itself: no datagram ever waits for anything but a send that was
+// already under way.
 func (m *Manager) Send(physAddr string, datagram []byte) error {
-	if m.co.Enabled {
-		m.enqueue(physAddr, datagram)
-		if mm := m.met; mm != nil {
-			mm.sendDgrams.Inc()
-			mm.sendBytes.Add(uint64(len(datagram)))
-			m.peerCounter(physAddr).Add(uint64(len(datagram)))
-		}
-		return nil
+	p, err := m.peer(physAddr)
+	if err == nil {
+		err = m.sendTo(p, physAddr, datagram)
 	}
-	return m.SendUrgent(physAddr, datagram)
-}
-
-// SendUrgent transmits one datagram immediately, bypassing any
-// coalescing queue. Liveness probes use this: a ping that waits out a
-// flush timer measures the timer, not the network.
-func (m *Manager) SendUrgent(physAddr string, datagram []byte) error {
-	env := wire.GetWriter(m.secPrefix + 1 + len(datagram) + m.secSuffix)
-	env.Zero(m.secPrefix)
-	env.Uint8(tagSingle)
-	env.Raw(datagram)
-	if err := m.send(physAddr, env); err != nil {
-		if mm := m.met; mm != nil {
-			mm.sendErrs.Inc()
-		}
+	if err != nil {
+		m.met.sendErrs.Inc()
 		return err
 	}
-	if mm := m.met; mm != nil {
-		mm.sendDgrams.Inc()
-		mm.sendBytes.Add(uint64(len(datagram)))
-		m.peerCounter(physAddr).Add(uint64(len(datagram)))
-	}
+	m.met.sendDgrams.Inc()
+	m.met.sendBytes.Add(uint64(len(datagram)))
+	p.bytes.Add(uint64(len(datagram)))
 	return nil
 }
 
-// startEnvelope lays out a fresh batch envelope in a pooled writer:
-// seal headroom, then the batch tag. Records follow via appendRecord.
-// A batch of one simply travels as a one-record batch — receivers
-// decode both tags unconditionally.
-func (m *Manager) startEnvelope() *wire.Writer {
-	env := wire.GetWriter(m.secPrefix + 1 + m.co.MaxBytes + m.secSuffix)
-	env.Zero(m.secPrefix)
-	env.Uint8(tagBatch)
-	return env
+// sendTo is Send's group commit: transmit at once when p is idle,
+// otherwise join (or open) p's pending envelope and share its verdict.
+// Whoever sets p.busy drops the lock while the transport works and, on
+// clearing it, wakes everyone waiting on p — riders of the envelope
+// just sent and the opener of the next.
+func (m *Manager) sendTo(p *peer, physAddr string, datagram []byte) error {
+	p.mu.Lock()
+	// A pending envelope too full for this datagram leaves with the
+	// next transmission, whose end wakes us.
+	for p.next != nil && p.next.env.Len()+len(datagram) > envelopeCap {
+		p.cond.Wait()
+	}
+	if p.next == nil && !p.busy {
+		p.busy = true
+		ep := p.ep
+		p.mu.Unlock()
+		env := wire.GetWriter(m.secPrefix + 1 + len(datagram) + m.secSuffix)
+		env.Zero(m.secPrefix)
+		env.Uint8(tagSingle)
+		env.Raw(datagram)
+		err := m.transmit(p, physAddr, ep, env)
+		p.mu.Lock()
+		p.busy = false
+		p.cond.Broadcast()
+		p.mu.Unlock()
+		return err
+	}
+
+	opened := p.next == nil
+	if opened {
+		p.next = m.openBatch(len(datagram))
+	}
+	b := p.next
+	appendRecord(b.env, datagram)
+	b.count++
+	b.refs++
+	if opened {
+		for p.busy {
+			p.cond.Wait()
+		}
+		p.busy = true
+		p.next = nil
+		ep := p.ep
+		p.mu.Unlock()
+		if b.count > 1 {
+			m.met.coalesced.Add(uint64(b.count))
+		}
+		err := m.transmit(p, physAddr, ep, b.env)
+		p.mu.Lock()
+		p.busy = false
+		b.err, b.done = err, true
+		p.cond.Broadcast()
+	} else {
+		for !b.done {
+			p.cond.Wait()
+		}
+	}
+	err := b.err
+	if b.refs--; b.refs == 0 {
+		batchPool.Put(b)
+	}
+	p.mu.Unlock()
+	return err
 }
 
-// appendRecord copies one length-prefixed datagram into the envelope.
-// This is the coalescing path's per-message work: a bounds-checked
-// copy into pooled storage, nothing else. The copy is also the
-// aliasing firewall — once enqueue returns, the caller may reuse or
-// release its datagram buffer without corrupting the in-flight batch.
+// openBatch lays out a fresh batch envelope in a pooled writer: seal
+// headroom, then the batch tag. Records follow via appendRecord.
+func (m *Manager) openBatch(firstRecord int) *batch {
+	b := batchPool.Get().(*batch)
+	*b = batch{env: wire.GetWriter(m.secPrefix + 1 + 4 + firstRecord + m.secSuffix)}
+	b.env.Zero(m.secPrefix)
+	b.env.Uint8(tagBatch)
+	return b
+}
+
+// appendRecord copies one length-prefixed datagram into the envelope:
+// a bounds-checked copy into pooled storage, nothing else. The copy is
+// also the aliasing firewall — the envelope never references the
+// caller's datagram buffer, which the caller reuses or releases the
+// moment Send returns.
 //
 //sdvm:hotpath
 func appendRecord(env *wire.Writer, datagram []byte) {
@@ -377,146 +370,62 @@ func appendRecord(env *wire.Writer, datagram []byte) {
 	env.Raw(datagram)
 }
 
-// enqueue appends datagram to physAddr's pending batch, flushing when
-// the batch is full and arming the delay timer otherwise.
-func (m *Manager) enqueue(physAddr string, datagram []byte) {
-	pb := m.batch(physAddr)
-	pb.mu.Lock()
-	if pb.env == nil {
-		pb.env = m.startEnvelope()
-		pb.count = 0
-	}
-	appendRecord(pb.env, datagram)
-	pb.count++
-	if pb.env.Len()-m.secPrefix-1 >= m.co.MaxBytes {
-		env, count := pb.env, pb.count
-		pb.env, pb.count = nil, 0
-		if pb.armed {
-			pb.timer.Stop()
-			pb.armed = false
-		}
-		pb.mu.Unlock()
-		m.flush(physAddr, env, count)
-		return
-	}
-	if !pb.armed {
-		if pb.timer == nil {
-			pb.timer = time.AfterFunc(m.co.MaxDelay, func() { m.flushPeer(physAddr, pb) })
-		} else {
-			pb.timer.Reset(m.co.MaxDelay)
-		}
-		pb.armed = true
-	}
-	pb.mu.Unlock()
-}
-
-// flushPeer drains pb's pending batch (fired by the delay timer). A
-// stale firing — the size threshold already flushed, or Reset raced
-// with an expiry — finds no envelope and does nothing.
-func (m *Manager) flushPeer(physAddr string, pb *peerBatch) {
-	pb.mu.Lock()
-	env, count := pb.env, pb.count
-	pb.env, pb.count = nil, 0
-	pb.armed = false
-	pb.mu.Unlock()
-	if env != nil {
-		m.flush(physAddr, env, count)
-	}
-}
-
-// flush seals and transmits one stolen batch envelope. Called with no
-// locks held; takes ownership of env.
-func (m *Manager) flush(physAddr string, env *wire.Writer, count int) {
-	if count > 1 {
-		if mm := m.met; mm != nil {
-			mm.coalesced.Add(uint64(count))
-		}
-	}
-	if err := m.send(physAddr, env); err != nil {
-		if mm := m.met; mm != nil {
-			mm.sendErrs.Inc()
-		}
-	}
-}
-
-// send seals and transmits one envelope, taking ownership of env: its
-// pooled buffer is released once the transport no longer references it
-// (Endpoint.Send must not retain the slice after returning). With an
-// in-place layer the seal happens inside env's own storage — nonce
-// into the headroom, ciphertext over the records, tag into spare
-// capacity — so the whole send path performs zero allocations.
-func (m *Manager) send(physAddr string, env *wire.Writer) error {
+// transmit seals and sends one envelope to p, taking ownership of env:
+// its pooled buffer is released once the transport no longer references
+// it (Endpoint.Send must not retain the slice after returning). The
+// seal happens inside env's own storage — nonce into the headroom,
+// ciphertext over the records, tag into spare capacity — so the whole
+// send path performs zero allocations. ep is the connection found
+// cached; with none, or when that one turns out stale (the peer may
+// have restarted), one fresh dial is attempted before giving up. p.busy
+// keeps this to one goroutine per peer at a time.
+func (m *Manager) transmit(p *peer, physAddr string, ep transport.Endpoint, env *wire.Writer) error {
 	defer env.Release()
 
-	var sealed []byte
-	var err error
-	if m.ip != nil {
-		env.Reserve(m.secSuffix)
-		sealed, err = m.ip.SealInPlace(env.Bytes())
-	} else {
-		sealed, err = m.sec.Seal(env.Bytes())
-	}
+	env.Reserve(m.secSuffix)
+	sealed, err := m.sec.SealInPlace(env.Bytes())
 	if err != nil {
 		return err
 	}
 
-	ep, err := m.conn(physAddr, false)
-	if err != nil {
-		return err
-	}
-	if err := ep.Send(sealed); err == nil {
+	if ep != nil && ep.Send(sealed) == nil {
 		return nil
 	}
-	// Stale connection: drop it and retry over a fresh one.
-	ep, err = m.conn(physAddr, true)
+	ep, err = m.dial(p, physAddr)
 	if err != nil {
 		return err
 	}
 	if err := ep.Send(sealed); err != nil {
-		m.drop(physAddr, ep)
+		p.mu.Lock()
+		if p.ep == ep {
+			p.ep = nil
+		}
+		p.mu.Unlock()
+		ep.Close()
 		return fmt.Errorf("netmgr send to %s: %w", physAddr, err)
 	}
 	return nil
 }
 
-// conn returns the cached connection to physAddr, dialing if absent or
-// if fresh is set.
-func (m *Manager) conn(physAddr string, fresh bool) (transport.Endpoint, error) {
-	m.mu.Lock()
-	if m.closed {
-		m.mu.Unlock()
-		return nil, transport.ErrClosed
-	}
-	if !fresh {
-		if ep, ok := m.conns[physAddr]; ok {
-			m.mu.Unlock()
-			return ep, nil
-		}
-	}
-	m.mu.Unlock()
-
+// dial connects to physAddr and caches the connection in p, replacing
+// (and closing) any previous one.
+func (m *Manager) dial(p *peer, physAddr string) (transport.Endpoint, error) {
 	ep, err := m.net.Dial(physAddr)
 	if err != nil {
 		return nil, err
 	}
-
-	m.mu.Lock()
-	if m.closed {
-		m.mu.Unlock()
+	p.mu.Lock()
+	if p.gone {
+		p.mu.Unlock()
 		ep.Close()
 		return nil, transport.ErrClosed
 	}
-	if old, ok := m.conns[physAddr]; ok && !fresh {
-		// Lost a race with a concurrent dial; keep the existing one.
-		m.mu.Unlock()
-		ep.Close()
-		return old, nil
-	}
-	if old, ok := m.conns[physAddr]; ok {
+	old := p.ep
+	p.ep = ep
+	p.mu.Unlock()
+	if old != nil {
 		old.Close()
 	}
-	m.conns[physAddr] = ep
-	m.mu.Unlock()
 
 	// Replies and peer-initiated traffic can arrive on our dialed
 	// connection too; drain it like an accepted one.
@@ -524,49 +433,38 @@ func (m *Manager) conn(physAddr string, fresh bool) (transport.Endpoint, error) 
 	return ep, nil
 }
 
-// drop removes a dead connection from the cache.
-func (m *Manager) drop(physAddr string, ep transport.Endpoint) {
-	m.mu.Lock()
-	if m.conns[physAddr] == ep {
-		delete(m.conns, physAddr)
-	}
-	m.mu.Unlock()
-	ep.Close()
-}
-
-// Forget closes and forgets the cached connection to physAddr (used when
-// a peer signs off or is declared crashed).
-func (m *Manager) Forget(physAddr string) {
-	m.mu.Lock()
-	ep, ok := m.conns[physAddr]
-	if ok {
-		delete(m.conns, physAddr)
-	}
-	pb := m.batches[physAddr]
-	delete(m.batches, physAddr)
-	m.mu.Unlock()
-	if pb != nil {
-		dropBatch(pb)
-	}
-	if ok {
+// retire marks p unusable and closes its connection. Sends already
+// queued behind p still complete: each pending envelope has a caller
+// that transmits it, now to an error.
+func (p *peer) retire() {
+	p.mu.Lock()
+	ep := p.ep
+	p.ep, p.gone = nil, true
+	p.mu.Unlock()
+	if ep != nil {
 		ep.Close()
 	}
 }
 
-// dropBatch discards a peer's pending messages, returning the pooled
-// envelope, and disarms its timer.
-func dropBatch(pb *peerBatch) {
-	pb.mu.Lock()
-	if pb.env != nil {
-		pb.env.Release()
-		pb.env = nil
+// Forget drops everything kept about the peer at physAddr and closes
+// the cached connection (used when a peer signs off or is declared
+// crashed). A later Send to the same address starts from a fresh dial.
+func (m *Manager) Forget(physAddr string) {
+	m.mu.Lock()
+	p := m.peers[physAddr]
+	delete(m.peers, physAddr)
+	m.mu.Unlock()
+	if p != nil {
+		p.retire()
 	}
-	pb.count = 0
-	if pb.timer != nil {
-		pb.timer.Stop()
-	}
-	pb.armed = false
-	pb.mu.Unlock()
+}
+
+// HasPeer reports whether the manager keeps any state (connection,
+// pending envelope, counter) for physAddr.
+func (m *Manager) HasPeer(physAddr string) bool {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return m.peers[physAddr] != nil
 }
 
 // Close shuts the manager down: the listener stops, all connections
@@ -579,20 +477,16 @@ func (m *Manager) Close() {
 	}
 	m.closed = true
 	l := m.listener
-	conns := make([]transport.Endpoint, 0, len(m.conns)+len(m.live))
-	for _, ep := range m.conns {
-		conns = append(conns, ep)
-	}
+	peers := m.peers
+	m.peers = nil
+	conns := make([]transport.Endpoint, 0, len(m.live))
 	for ep := range m.live {
 		conns = append(conns, ep)
 	}
-	m.conns = make(map[string]transport.Endpoint)
-	batches := m.batches
-	m.batches = make(map[string]*peerBatch)
 	m.mu.Unlock()
 
-	for _, pb := range batches {
-		dropBatch(pb)
+	for _, p := range peers {
+		p.retire()
 	}
 	if l != nil {
 		l.Close()

@@ -1,47 +1,14 @@
 package netmgr
 
 import (
-	"sync"
+	"runtime"
 	"testing"
-	"time"
 
 	"repro/internal/security"
-	"repro/internal/transport"
 	"repro/internal/wire"
 )
 
-// discardNet is a minimal transport whose endpoints swallow datagrams,
-// isolating the manager's own send-path cost from any real link.
-type discardNet struct{}
-
-type discardEndpoint struct {
-	closed chan struct{}
-	once   sync.Once
-}
-
-func (discardNet) Listen(addr string) (transport.Listener, error) {
-	return nil, transport.ErrClosed // benches never listen
-}
-
-func (discardNet) Dial(addr string) (transport.Endpoint, error) {
-	return &discardEndpoint{closed: make(chan struct{})}, nil
-}
-
-func (e *discardEndpoint) Send(datagram []byte) error { return nil }
-
-func (e *discardEndpoint) Recv() ([]byte, error) {
-	<-e.closed
-	return nil, transport.ErrClosed
-}
-
-func (e *discardEndpoint) Close() error {
-	e.once.Do(func() { close(e.closed) })
-	return nil
-}
-
-func (e *discardEndpoint) RemoteAddr() string { return "discard" }
-
-// BenchmarkEnvelopeAppend measures the per-message coalescing work in
+// BenchmarkEnvelopeAppend measures the per-message batching work in
 // isolation: one length-prefixed record copied into a pooled envelope.
 // Steady state must be 0 allocs/op (the CI alloc gate tracks it).
 func BenchmarkEnvelopeAppend(b *testing.B) {
@@ -64,16 +31,13 @@ func BenchmarkEnvelopeAppend(b *testing.B) {
 	}
 }
 
-// BenchmarkCoalesce measures the full coalescing send path: enqueue,
-// size-triggered flush, in-place seal, transport hand-off, envelope
-// release. The flush timer is parked far out so the size threshold
-// drives batching deterministically.
-func BenchmarkCoalesce(b *testing.B) {
-	m := New(discardNet{}, security.Plaintext{}, func([]byte) {})
+// benchSend measures the full uncontended send path: envelope layout,
+// in-place seal, transport hand-off, envelope release.
+func benchSend(b *testing.B, sec security.Layer) {
+	m := New(hookNet{}, sec, func([]byte) {})
 	defer m.Close()
-	m.SetCoalescing(Coalesce{Enabled: true, MaxBytes: 4096, MaxDelay: time.Hour})
 	datagram := make([]byte, 128)
-	// Warm: dial the cached connection and cycle one full batch.
+	// Warm: dial the cached connection and cycle the pools.
 	for i := 0; i < 64; i++ {
 		if err := m.Send("peer", datagram); err != nil {
 			b.Fatal(err)
@@ -88,27 +52,36 @@ func BenchmarkCoalesce(b *testing.B) {
 	}
 }
 
-// BenchmarkCoalesceAESGCM is BenchmarkCoalesce with the real cipher, so
-// the in-place seal's allocation behavior is tracked too.
-func BenchmarkCoalesceAESGCM(b *testing.B) {
+func BenchmarkSend(b *testing.B) { benchSend(b, security.Plaintext{}) }
+
+// BenchmarkSendAESGCM is BenchmarkSend with the real cipher, so the
+// in-place seal's allocation behavior is tracked too.
+func BenchmarkSendAESGCM(b *testing.B) {
 	sec, err := security.NewAESGCM("bench-pw")
 	if err != nil {
 		b.Fatal(err)
 	}
-	m := New(discardNet{}, sec, func([]byte) {})
+	benchSend(b, sec)
+}
+
+// BenchmarkSendBatched measures the contended path: many goroutines
+// send to one peer over a link that yields the processor mid-send, so
+// most datagrams find a send in flight and ride a shared envelope.
+func BenchmarkSendBatched(b *testing.B) {
+	m := New(hookNet{send: func([]byte) error {
+		runtime.Gosched()
+		return nil
+	}}, security.Plaintext{}, func([]byte) {})
 	defer m.Close()
-	m.SetCoalescing(Coalesce{Enabled: true, MaxBytes: 4096, MaxDelay: time.Hour})
 	datagram := make([]byte, 128)
-	for i := 0; i < 64; i++ {
-		if err := m.Send("peer", datagram); err != nil {
-			b.Fatal(err)
-		}
-	}
+	b.SetParallelism(8)
 	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := m.Send("peer", datagram); err != nil {
-			b.Fatal(err)
+	b.RunParallel(func(pb *testing.PB) {
+		for pb.Next() {
+			if err := m.Send("peer", datagram); err != nil {
+				b.Error(err)
+				return
+			}
 		}
-	}
+	})
 }

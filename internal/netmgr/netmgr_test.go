@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/metrics"
 	"repro/internal/security"
 	"repro/internal/transport"
 	"repro/internal/transport/inproc"
@@ -136,10 +137,10 @@ func TestConnectionReuse(t *testing.T) {
 		cb.wait(t)
 	}
 	a.mu.Lock()
-	n := len(a.conns)
+	n := len(a.live)
 	a.mu.Unlock()
 	if n != 1 {
-		t.Fatalf("%d cached connections, want 1", n)
+		t.Fatalf("%d dialed connections, want 1", n)
 	}
 }
 
@@ -203,18 +204,29 @@ func TestRedialAfterPeerRestart(t *testing.T) {
 	}
 }
 
-func TestForgetDropsConnection(t *testing.T) {
+func TestForgetDropsPeerState(t *testing.T) {
 	a, _, _, cb, _, addrB := newPairT(t, security.Plaintext{})
 	if err := a.Send(addrB, []byte("x")); err != nil {
 		t.Fatal(err)
 	}
 	cb.wait(t)
-	a.Forget(addrB)
 	a.mu.Lock()
-	n := len(a.conns)
+	ep := a.peers[addrB].ep
 	a.mu.Unlock()
-	if n != 0 {
-		t.Fatalf("%d cached connections after Forget, want 0", n)
+
+	a.Forget(addrB)
+	if a.HasPeer(addrB) {
+		t.Fatal("per-peer state survived Forget")
+	}
+	if err := ep.Send([]byte("x")); !errors.Is(err, transport.ErrClosed) {
+		t.Fatalf("cached connection still open after Forget: %v", err)
+	}
+	// The peer is still there: the next Send starts over with a dial.
+	if err := a.Send(addrB, []byte("again")); err != nil {
+		t.Fatalf("Send after Forget: %v", err)
+	}
+	if got := cb.wait(t); string(got) != "again" {
+		t.Fatalf("delivered %q", got)
 	}
 }
 
@@ -230,146 +242,166 @@ func TestCloseIsIdempotentAndTerminal(t *testing.T) {
 	}
 }
 
-func TestCoalescingDeliversAll(t *testing.T) {
-	fab := inproc.New(inproc.LinkProfile{})
-	t.Cleanup(fab.Close)
-	cb := newCollect()
-	a := New(fab, security.Plaintext{}, func([]byte) {})
-	a.SetCoalescing(Coalesce{Enabled: true, MaxDelay: time.Millisecond})
-	b := New(fab, security.Plaintext{}, cb.handler)
-	t.Cleanup(a.Close)
-	t.Cleanup(b.Close)
-	if _, err := a.Listen("a"); err != nil {
-		t.Fatal(err)
-	}
-	addrB, err := b.Listen("b")
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	const n = 20
-	for i := 0; i < n; i++ {
-		if err := a.Send(addrB, []byte{byte(i)}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	got := map[byte]bool{}
-	for i := 0; i < n; i++ {
-		d := cb.wait(t)
-		if len(d) != 1 {
-			t.Fatalf("datagram %q, want one byte", d)
-		}
-		if got[d[0]] {
-			t.Fatalf("byte %d delivered twice", d[0])
-		}
-		got[d[0]] = true
-	}
+// hookNet is a transport with no listeners whose endpoints hand every
+// sent envelope to send (nil: swallow it), isolating the manager's send
+// path from any real link.
+type hookNet struct {
+	send func(envelope []byte) error
 }
 
-func TestCoalescingFlushesOnSize(t *testing.T) {
-	fab := inproc.New(inproc.LinkProfile{})
-	t.Cleanup(fab.Close)
-	cb := newCollect()
-	a := New(fab, security.Plaintext{}, func([]byte) {})
-	// A long MaxDelay proves the size threshold, not the timer, flushed.
-	a.SetCoalescing(Coalesce{Enabled: true, MaxBytes: 64, MaxDelay: time.Minute})
-	b := New(fab, security.Plaintext{}, cb.handler)
-	t.Cleanup(a.Close)
-	t.Cleanup(b.Close)
-	if _, err := a.Listen("a"); err != nil {
-		t.Fatal(err)
-	}
-	addrB, err := b.Listen("b")
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	// 3 × (20+4) = 72 ≥ 64: the third Send crosses the threshold.
-	for i := 0; i < 3; i++ {
-		if err := a.Send(addrB, make([]byte, 20)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for i := 0; i < 3; i++ {
-		cb.wait(t)
-	}
+type hookEndpoint struct {
+	send   func(envelope []byte) error
+	closed chan struct{}
+	once   sync.Once
 }
 
-func TestSendUrgentBypassesQueue(t *testing.T) {
-	fab := inproc.New(inproc.LinkProfile{})
-	t.Cleanup(fab.Close)
-	cb := newCollect()
-	a := New(fab, security.Plaintext{}, func([]byte) {})
-	// With an hour-long flush delay, only the bypass path can deliver.
-	a.SetCoalescing(Coalesce{Enabled: true, MaxDelay: time.Hour})
-	b := New(fab, security.Plaintext{}, cb.handler)
-	t.Cleanup(a.Close)
-	t.Cleanup(b.Close)
-	if _, err := a.Listen("a"); err != nil {
-		t.Fatal(err)
-	}
-	addrB, err := b.Listen("b")
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	if err := a.SendUrgent(addrB, []byte("ping")); err != nil {
-		t.Fatal(err)
-	}
-	if got := cb.wait(t); string(got) != "ping" {
-		t.Fatalf("delivered %q", got)
-	}
+func (hookNet) Listen(addr string) (transport.Listener, error) {
+	return nil, transport.ErrClosed
 }
 
-func TestConcurrentCoalescedSends(t *testing.T) {
-	fab := inproc.New(inproc.LinkProfile{})
-	t.Cleanup(fab.Close)
-	cb := newCollect()
-	a := New(fab, security.Plaintext{}, func([]byte) {})
-	a.SetCoalescing(Coalesce{Enabled: true, MaxBytes: 256, MaxDelay: time.Millisecond})
-	b := New(fab, security.Plaintext{}, cb.handler)
-	t.Cleanup(a.Close)
-	t.Cleanup(b.Close)
-	if _, err := a.Listen("a"); err != nil {
-		t.Fatal(err)
+func (n hookNet) Dial(addr string) (transport.Endpoint, error) {
+	return &hookEndpoint{send: n.send, closed: make(chan struct{})}, nil
+}
+
+func (e *hookEndpoint) Send(envelope []byte) error {
+	if e.send == nil {
+		return nil
 	}
-	addrB, err := b.Listen("b")
-	if err != nil {
-		t.Fatal(err)
-	}
+	return e.send(envelope)
+}
+
+func (e *hookEndpoint) Recv() ([]byte, error) {
+	<-e.closed
+	return nil, transport.ErrClosed
+}
+
+func (e *hookEndpoint) Close() error {
+	e.once.Do(func() { close(e.closed) })
+	return nil
+}
+
+func (e *hookEndpoint) RemoteAddr() string { return "hook" }
+
+// TestSequentialSenderNeverBatches pins the idle-peer case: a sender
+// that waits for each Send to return never finds one in flight, so
+// every datagram travels alone under the single tag, as it always has.
+func TestSequentialSenderNeverBatches(t *testing.T) {
+	var tags []byte
+	reg := metrics.NewRegistry()
+	a := New(hookNet{send: func(env []byte) error {
+		tags = append(tags, env[0])
+		return nil
+	}}, security.Plaintext{}, func([]byte) {})
+	a.SetMetrics(reg)
+	defer a.Close()
 
 	const n = 100
-	var wg sync.WaitGroup
 	for i := 0; i < n; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			if err := a.Send(addrB, []byte("m")); err != nil {
-				t.Errorf("Send: %v", err)
-			}
-		}()
+		if err := a.Send("peer", []byte{byte(i)}); err != nil {
+			t.Fatal(err)
+		}
 	}
-	wg.Wait()
-	for i := 0; i < n; i++ {
-		cb.wait(t)
+	if len(tags) != n {
+		t.Fatalf("%d envelopes for %d sends", len(tags), n)
+	}
+	for i, tag := range tags {
+		if tag != tagSingle {
+			t.Fatalf("envelope %d has tag %#x, want tagSingle", i, tag)
+		}
+	}
+	if c := reg.Counter("net.coalesced").Load(); c != 0 {
+		t.Fatalf("net.coalesced = %d, want 0", c)
+	}
+	if c := reg.Counter("net.send_datagrams").Load(); c != n {
+		t.Fatalf("net.send_datagrams = %d, want %d", c, n)
 	}
 }
 
-func TestConcurrentSendsOneTarget(t *testing.T) {
-	a, _, _, cb, _, addrB := newPairT(t, security.Plaintext{})
-	const n = 200
-	var wg sync.WaitGroup
-	for i := 0; i < n; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			if err := a.Send(addrB, []byte("m")); err != nil {
-				t.Errorf("Send: %v", err)
+// TestBatchSharesTransportVerdict holds one send in flight, lets k more
+// pile up behind it, and checks they leave as one batch envelope whose
+// transport verdict — delivered or failed — reaches every one of the
+// k callers.
+func TestBatchSharesTransportVerdict(t *testing.T) {
+	boom := errors.New("link down")
+	for _, verdict := range []error{nil, boom} {
+		const k = 5
+		entered := make(chan struct{}, 1)
+		release := make(chan struct{})
+		var mu sync.Mutex
+		var envelopes [][]byte
+		reg := metrics.NewRegistry()
+		a := New(hookNet{send: func(env []byte) error {
+			mu.Lock()
+			first := len(envelopes) == 0
+			envelopes = append(envelopes, append([]byte(nil), env...))
+			mu.Unlock()
+			if first {
+				entered <- struct{}{}
+				<-release
+				return nil
 			}
-		}()
-	}
-	wg.Wait()
-	for i := 0; i < n; i++ {
-		cb.wait(t)
+			return verdict
+		}}, security.Plaintext{}, func([]byte) {})
+		a.SetMetrics(reg)
+
+		errs := make(chan error, k+1)
+		go func() { errs <- a.Send("peer", []byte("in flight")) }()
+		<-entered
+		for i := 0; i < k; i++ {
+			go func() { errs <- a.Send("peer", []byte("rider")) }()
+		}
+		p, _ := a.peer("peer")
+		deadline := time.Now().Add(5 * time.Second)
+		for {
+			p.mu.Lock()
+			queued := 0
+			if p.next != nil {
+				queued = p.next.count
+			}
+			p.mu.Unlock()
+			if queued == k {
+				break
+			}
+			if time.Now().After(deadline) {
+				t.Fatalf("%d of %d sends joined the pending envelope", queued, k)
+			}
+			time.Sleep(time.Millisecond)
+		}
+		close(release)
+
+		failed := 0
+		for i := 0; i < k+1; i++ {
+			if err := <-errs; err != nil {
+				if !errors.Is(err, boom) {
+					t.Fatalf("Send error %v, want %v", err, boom)
+				}
+				failed++
+			}
+		}
+		wantFailed, wantEnvelopes := 0, 2
+		if verdict != nil {
+			// Every rider fails, after the batch was tried on the cached
+			// and on one fresh connection.
+			wantFailed, wantEnvelopes = k, 3
+		}
+		if failed != wantFailed {
+			t.Fatalf("verdict %v: %d sends failed, want %d", verdict, failed, wantFailed)
+		}
+		if len(envelopes) != wantEnvelopes {
+			t.Fatalf("verdict %v: %d envelopes hit the link, want %d", verdict, len(envelopes), wantEnvelopes)
+		}
+		if envelopes[0][0] != tagSingle || envelopes[1][0] != tagBatch {
+			t.Fatalf("envelope tags %#x, %#x; want single then batch", envelopes[0][0], envelopes[1][0])
+		}
+		if want := 1 + k*(4+len("rider")); len(envelopes[1]) != want {
+			t.Fatalf("batch envelope is %d bytes, want %d for %d records", len(envelopes[1]), want, k)
+		}
+		if c := reg.Counter("net.coalesced").Load(); c != k {
+			t.Fatalf("net.coalesced = %d, want %d", c, k)
+		}
+		if c := reg.Counter("net.send_errors").Load(); c != uint64(wantFailed) {
+			t.Fatalf("net.send_errors = %d, want %d", c, wantFailed)
+		}
+		a.Close()
 	}
 }

@@ -2,9 +2,9 @@
 //
 // The security manager "is placed between the message manager and the
 // network manager": every outgoing serialized SDMessage passes through
-// Seal before the network manager transmits it, and every incoming
-// datagram passes through Open before the message manager parses it. The
-// paper's design — a key table of known communication partners, a first
+// SealInPlace before the network manager transmits it, and every
+// incoming datagram passes through OpenInPlace before the message
+// manager parses it. The paper's design — a key table of known communication partners, a first
 // contact secured by a hand-supplied start password, and the option to
 // disable encryption entirely inside trusted clusters "in favor of a
 // performance gain" — maps here onto AES-GCM with per-cluster keys
@@ -22,27 +22,16 @@ import (
 	"repro/internal/types"
 )
 
-// Layer seals and opens datagrams. Implementations must be safe for
-// concurrent use — the network manager sends from many goroutines.
-type Layer interface {
-	// Seal protects a serialized message for transmission.
-	Seal(plaintext []byte) ([]byte, error)
-	// Open verifies and decrypts a received datagram.
-	Open(sealed []byte) ([]byte, error)
-	// Overhead returns the maximum number of bytes Seal adds.
-	Overhead() int
-}
-
-// InPlace is implemented by layers that can seal and open inside a
-// caller-owned buffer, so the hot send path never allocates for
-// cryptography. The caller lays the envelope out as
+// Layer seals and opens datagrams inside a caller-owned buffer, so the
+// send and receive paths never allocate for cryptography. The caller
+// lays the envelope out as
 //
 //	[ PrefixOverhead() bytes of headroom | plaintext ]
 //
 // with at least SuffixOverhead() bytes of spare capacity, and the layer
-// transforms it in place. The network manager type-asserts for this at
-// construction and falls back to Seal/Open copies otherwise.
-type InPlace interface {
+// transforms it in place. Implementations must be safe for concurrent
+// use — the network manager sends from many goroutines.
+type Layer interface {
 	// PrefixOverhead is the number of bytes the layer writes before the
 	// ciphertext (the AES-GCM nonce; zero for plaintext).
 	PrefixOverhead() int
@@ -64,15 +53,6 @@ type InPlace interface {
 // untouched. For insular clusters the paper recommends exactly this.
 type Plaintext struct{}
 
-// Seal returns the input unchanged.
-func (Plaintext) Seal(p []byte) ([]byte, error) { return p, nil }
-
-// Open returns the input unchanged.
-func (Plaintext) Open(p []byte) ([]byte, error) { return p, nil }
-
-// Overhead returns 0.
-func (Plaintext) Overhead() int { return 0 }
-
 // PrefixOverhead returns 0.
 func (Plaintext) PrefixOverhead() int { return 0 }
 
@@ -87,7 +67,7 @@ func (Plaintext) OpenInPlace(sealed []byte) ([]byte, error) { return sealed, nil
 
 // AESGCM encrypts every datagram with AES-256-GCM under a key derived
 // from the cluster's start secret. GCM gives confidentiality and
-// integrity in one pass: a tampered or foreign datagram fails Open with
+// integrity in one pass: a tampered or foreign datagram fails OpenInPlace with
 // types.ErrCrypto, which is how "protection against spying and
 // corruption" (goal 12) is realized.
 type AESGCM struct {
@@ -133,14 +113,6 @@ func (l *AESGCM) nonceInto(n []byte) {
 	}
 }
 
-// Seal encrypts and authenticates plaintext into a fresh buffer. The
-// nonce is prepended.
-func (l *AESGCM) Seal(plaintext []byte) ([]byte, error) {
-	env := make([]byte, 12+len(plaintext), 12+len(plaintext)+l.aead.Overhead())
-	copy(env[12:], plaintext)
-	return l.SealInPlace(env)
-}
-
 // SealInPlace seals env[12:] in place: the nonce lands in the 12-byte
 // headroom and the ciphertext overwrites the plaintext exactly (GCM
 // supports perfectly overlapping dst and plaintext), with the tag in
@@ -152,20 +124,6 @@ func (l *AESGCM) SealInPlace(env []byte) ([]byte, error) {
 	nonce := env[:12]
 	l.nonceInto(nonce)
 	return l.aead.Seal(nonce, nonce, env[12:], nil), nil
-}
-
-// Open decrypts and verifies a sealed datagram into a fresh buffer,
-// leaving sealed untouched.
-func (l *AESGCM) Open(sealed []byte) ([]byte, error) {
-	if len(sealed) < 12 {
-		return nil, fmt.Errorf("%w: datagram shorter than nonce", types.ErrCrypto)
-	}
-	n, ct := sealed[:12], sealed[12:]
-	pt, err := l.aead.Open(nil, n, ct, nil)
-	if err != nil {
-		return nil, fmt.Errorf("%w: %v", types.ErrCrypto, err)
-	}
-	return pt, nil
 }
 
 // OpenInPlace decrypts sealed destructively: the plaintext overwrites
@@ -184,9 +142,6 @@ func (l *AESGCM) OpenInPlace(sealed []byte) ([]byte, error) {
 	return pt, nil
 }
 
-// Overhead returns nonce plus GCM tag size.
-func (l *AESGCM) Overhead() int { return 12 + l.aead.Overhead() }
-
 // PrefixOverhead returns the nonce size.
 func (l *AESGCM) PrefixOverhead() int { return 12 }
 
@@ -195,8 +150,6 @@ func (l *AESGCM) SuffixOverhead() int { return l.aead.Overhead() }
 
 // Compile-time interface checks.
 var (
-	_ Layer   = Plaintext{}
-	_ Layer   = (*AESGCM)(nil)
-	_ InPlace = Plaintext{}
-	_ InPlace = (*AESGCM)(nil)
+	_ Layer = Plaintext{}
+	_ Layer = (*AESGCM)(nil)
 )

@@ -99,16 +99,12 @@ func (f *Fabric) Dial(addr string) (transport.Endpoint, error) {
 	a, b := f.newPair(local, addr)
 	f.mu.Unlock()
 
-	// Hand the passive side to the listener; if its backlog is full the
-	// dial fails rather than blocking the fabric lock.
-	select {
-	case l.backlog <- b:
-		return a, nil
-	default:
+	if err := l.offer(b); err != nil {
 		a.Close()
 		b.Close()
-		return nil, fmt.Errorf("inproc: listener %q backlog full", addr)
+		return nil, err
 	}
+	return a, nil
 }
 
 // newPair creates two connected endpoints. Caller holds f.mu.
@@ -216,6 +212,24 @@ func (l *listener) Accept() (transport.Endpoint, error) {
 		return nil, transport.ErrClosed
 	}
 	return e, nil
+}
+
+// offer hands the passive side of a fresh link to the listener. The
+// listener's lock orders it against Close, which closes the backlog: a
+// listener that closed since the dial looked it up refuses the link. A
+// full backlog fails the dial rather than blocking it.
+func (l *listener) offer(b *endpoint) error {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if l.closed {
+		return fmt.Errorf("%w: %q", transport.ErrNoListener, l.addr)
+	}
+	select {
+	case l.backlog <- b:
+		return nil
+	default:
+		return fmt.Errorf("inproc: listener %q backlog full", l.addr)
+	}
 }
 
 func (l *listener) Addr() string { return l.addr }

@@ -26,6 +26,7 @@ func Run(t *testing.T, factory Factory) {
 	t.Run("DialNoListener", func(t *testing.T) { testNoListener(t, factory) })
 	t.Run("CloseUnblocksRecv", func(t *testing.T) { testCloseUnblocks(t, factory) })
 	t.Run("ListenerCloseUnblocksAccept", func(t *testing.T) { testListenerClose(t, factory) })
+	t.Run("DialRacesListenerClose", func(t *testing.T) { testDialRacesListenerClose(t, factory) })
 	t.Run("OversizeRejected", func(t *testing.T) { testOversize(t, factory) })
 	t.Run("MultipleClients", func(t *testing.T) { testMultipleClients(t, factory) })
 	t.Run("BurstOfSizes", func(t *testing.T) { testBurstOfSizes(t, factory) })
@@ -226,6 +227,59 @@ func testListenerClose(t *testing.T, factory Factory) {
 		}
 	case <-time.After(5 * time.Second):
 		t.Fatal("Accept still blocked after listener close")
+	}
+}
+
+// testDialRacesListenerClose closes a listener while several goroutines
+// dial it in a loop. Every dial must either connect or fail with an
+// error — a site shutting down while idle peers send it help requests
+// does exactly this.
+func testDialRacesListenerClose(t *testing.T, factory Factory) {
+	net, next := factory(t)
+	for round := 0; round < 20; round++ {
+		l, err := net.Listen(next())
+		if err != nil {
+			t.Fatalf("Listen: %v", err)
+		}
+		accepted := make(chan struct{}, 1)
+		var wg sync.WaitGroup
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				ep, err := l.Accept()
+				if err != nil {
+					return
+				}
+				ep.Close()
+				select {
+				case accepted <- struct{}{}:
+				default:
+				}
+			}
+		}()
+		for d := 0; d < 4; d++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for {
+					ep, err := net.Dial(l.Addr())
+					if err != nil {
+						return
+					}
+					ep.Close()
+				}
+			}()
+		}
+		<-accepted
+		l.Close()
+		done := make(chan struct{})
+		go func() { wg.Wait(); close(done) }()
+		select {
+		case <-done:
+		case <-time.After(10 * time.Second):
+			t.Fatal("dialers or acceptor still running after listener close")
+		}
 	}
 }
 

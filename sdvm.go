@@ -188,7 +188,7 @@ type Options struct {
 	Seed int64
 }
 
-func (o Options) daemonConfig() daemon.Config {
+func (o Options) daemonConfig() (daemon.Config, error) {
 	net := o.Network
 	if net == nil {
 		if o.UDP {
@@ -204,9 +204,10 @@ func (o Options) daemonConfig() daemon.Config {
 	var sec security.Layer = security.Plaintext{}
 	if o.Secret != "" {
 		l, err := security.NewAESGCM(o.Secret)
-		if err == nil {
-			sec = l
+		if err != nil {
+			return daemon.Config{}, err
 		}
+		sec = l
 	}
 	model := exec.WorkReal
 	if o.SimulatedWork {
@@ -237,7 +238,7 @@ func (o Options) daemonConfig() daemon.Config {
 		Metrics:       o.Metrics,
 		MetricsAddr:   o.MetricsAddr,
 		Seed:          o.Seed,
-	}
+	}, nil
 }
 
 // Site is one running SDVM daemon.
@@ -249,7 +250,11 @@ type Site struct {
 
 // Bootstrap starts the first site of a new cluster.
 func Bootstrap(opts Options) (*Site, error) {
-	d := daemon.New(opts.daemonConfig())
+	cfg, err := opts.daemonConfig()
+	if err != nil {
+		return nil, err
+	}
+	d := daemon.New(cfg)
 	if err := d.Bootstrap(); err != nil {
 		return nil, err
 	}
@@ -259,7 +264,11 @@ func Bootstrap(opts Options) (*Site, error) {
 // Join starts a site and signs on to an existing cluster via the
 // physical address of any current member.
 func Join(contactAddr string, opts Options) (*Site, error) {
-	d := daemon.New(opts.daemonConfig())
+	cfg, err := opts.daemonConfig()
+	if err != nil {
+		return nil, err
+	}
+	d := daemon.New(cfg)
 	if err := d.Join(contactAddr); err != nil {
 		return nil, err
 	}
