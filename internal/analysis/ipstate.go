@@ -335,6 +335,9 @@ func (v *ipVisitor) recordCall(call *ast.CallExpr, held heldSet, isGo, isDefer b
 func (v *ipVisitor) classify(op *callOp, obj types.Object) bool {
 	switch o := obj.(type) {
 	case *types.Func:
+		// A call to a generic function or to a method of a generic type
+		// names an instantiation; summaries are keyed by the declaration.
+		o = o.Origin()
 		if sig, ok := o.Type().(*types.Signature); ok && sig.Recv() != nil && types.IsInterface(sig.Recv().Type()) {
 			op.ifaceFn = o
 			return true

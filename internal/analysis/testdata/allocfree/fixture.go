@@ -71,6 +71,32 @@ func deepAlloc(n int) []byte {
 	return make([]byte, n) // want "fixture.hotDeep → fixture.viaHelper → fixture.deepAlloc"
 }
 
+// Generic code: a call names an instantiation, the finding belongs to
+// the declaration it was instantiated from.
+
+type ring[T any] struct{ buf []T }
+
+func (r *ring[T]) grow() {
+	r.buf = make([]T, 2*len(r.buf)+1) // want "fixture.hotGenericMethod → fixture.ring.push → fixture.ring.grow"
+}
+
+func (r *ring[T]) push(v T) {
+	if len(r.buf) == 0 {
+		r.grow()
+	}
+	r.buf[0] = v
+}
+
+//sdvm:hotpath
+func hotGenericMethod(r *ring[*box], p *box) { r.push(p) }
+
+func fill[T any](n int) []T {
+	return make([]T, n) // want "fixture.hotGenericFunc → fixture.fill"
+}
+
+//sdvm:hotpath
+func hotGenericFunc() []int { return fill[int](4) }
+
 // Calls through stored function values cannot be proven
 // allocation-free and are findings in their own right.
 

@@ -242,8 +242,10 @@ func (m *Manager) run(r *sched.Ready) {
 		m.met.executed.Inc()
 		m.met.runTime.Observe(busy)
 		m.acct(r.Frame.Thread.Program, busy, ctx.worked)
-		m.tr.Record(trace.EvExecuted, r.Frame.ID, r.Frame.Thread,
-			fmt.Sprintf("in %v", busy.Round(time.Microsecond)))
+		if m.tr.Enabled() {
+			m.tr.Record(trace.EvExecuted, r.Frame.ID, r.Frame.Thread,
+				fmt.Sprintf("in %v", busy.Round(time.Microsecond)))
+		}
 		if p := recover(); p != nil {
 			// A panicking microthread must not take the daemon down;
 			// the paper's goal 2 (fault tolerance) applies to buggy

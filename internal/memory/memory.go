@@ -481,7 +481,9 @@ func (m *Manager) NewFrame(thread types.ThreadID, arity int, prio types.Priority
 	}
 	s.frames[id] = f
 	s.mu.Unlock()
-	m.tr.Record(trace.EvFrameCreated, id, thread, fmt.Sprintf("arity %d", arity))
+	if m.tr.Enabled() { // formatting the detail allocates; skip it when nobody reads it
+		m.tr.Record(trace.EvFrameCreated, id, thread, fmt.Sprintf("arity %d", arity))
+	}
 	return id
 }
 
@@ -654,8 +656,11 @@ func (m *Manager) applyLocked(s *memShard, f *wire.Microframe, slot int, data []
 	}
 	m.counts.paramsApplied.Add(1)
 	m.met.paramsApplied.Inc()
+	traced := m.tr.Enabled()
 	if !fires {
-		m.tr.Record(trace.EvParamApplied, f.ID, f.Thread, fmt.Sprintf("slot %d, %d missing", slot, f.Missing()))
+		if traced {
+			m.tr.Record(trace.EvParamApplied, f.ID, f.Thread, fmt.Sprintf("slot %d, %d missing", slot, f.Missing()))
+		}
 		return nil
 	}
 	delete(s.frames, f.ID)
@@ -664,7 +669,9 @@ func (m *Manager) applyLocked(s *memShard, f *wire.Microframe, slot int, data []
 	m.met.framesFired.Inc()
 	fire := m.fire
 	s.mu.Unlock()
-	m.tr.Record(trace.EvFrameFired, f.ID, f.Thread, fmt.Sprintf("last slot %d", slot))
+	if traced {
+		m.tr.Record(trace.EvFrameFired, f.ID, f.Thread, fmt.Sprintf("last slot %d", slot))
+	}
 	fire(f)
 	m.lockShard(s)
 	return nil

@@ -753,3 +753,26 @@ func TestHeatMigrationMovesHome(t *testing.T) {
 		t.Fatalf("old home reads %v after migration write", got)
 	}
 }
+
+// TestFramePathAllocsUntraced pins the allocation count of the dataflow
+// step every microthread pays — NewFrame, then one SendFor per parameter
+// until the frame fires — on a site without a tracer. Formatting a trace
+// detail nobody reads cost three more allocations here (8 instead of 5:
+// one string each for the creation, the first parameter and the fire);
+// the bound fails if they, or anything else, creep back in.
+func TestFramePathAllocsUntraced(t *testing.T) {
+	nodes := testnet.NewCluster(t, 1, func(int, *testnet.Node) {})
+	m := New(nodes[0].Bus, func(*wire.Microframe) {})
+	data := []byte{1, 2, 3, 4, 5, 6, 7, 8}
+	allocs := testing.AllocsPerRun(2000, func() {
+		id := m.NewFrame(thread(0), 2, types.PriorityNormal, 0)
+		for slot := 0; slot < 2; slot++ {
+			if err := m.SendFor(prog(), wire.Target{Addr: id, Slot: int32(slot)}, data); err != nil {
+				t.Fatal(err)
+			}
+		}
+	})
+	if allocs > 5 {
+		t.Fatalf("NewFrame + 2×SendFor allocates %.0f times, want at most 5", allocs)
+	}
+}

@@ -1,121 +1,263 @@
 package sched
 
 import (
+	"time"
+
 	"repro/internal/types"
-	"repro/internal/wire"
 )
 
-// frameQueue is a deque of microframes supporting the FIFO, LIFO and
-// priority disciplines of the scheduling manager. It is not safe for
-// concurrent use; the Manager's mutex guards it.
-type frameQueue struct {
-	frames []*wire.Microframe
+// queue is the one container behind both scheduler queues (executable
+// frames awaiting code, ready frames awaiting a processor). It keeps one
+// ring buffer per distinct priority in use, sorted by ascending priority;
+// programs use a handful of priorities, so every operation below costs
+// O(#priorities), independent of the backlog. Each entry carries a
+// queue-wide arrival sequence number: within a bucket entries sit in
+// arrival order, and comparing bucket fronts (or backs) by seq recovers
+// the exact global oldest (or newest) across buckets — the same answer a
+// scan of one arrival-ordered slice would give. The policy is applied at
+// pop time so one queue can serve local FIFO dispatch and LIFO help
+// replies simultaneously, as the paper prescribes.
+//
+// The zero value is an empty queue that owns no memory. It is not safe
+// for concurrent use; the Manager's mutex guards it.
+type queue[T any] struct {
+	buckets []bucket[T] // ascending prio; may hold empty buckets (see bucketFor)
+	seq     uint64
+	n       int
 }
 
-func newFrameQueue() *frameQueue { return &frameQueue{} }
-
-func (q *frameQueue) len() int { return len(q.frames) }
-
-// push appends a frame. Arrival order is the queue order; the policy is
-// applied at pop time so one queue can serve local FIFO dispatch and
-// LIFO help replies simultaneously, as the paper prescribes.
-func (q *frameQueue) push(f *wire.Microframe, _ types.SchedulingClass) {
-	q.frames = append(q.frames, f)
+// entry is one queued item with its arrival order and the time the frame
+// first became executable on this site (zero while metrics are off); the
+// stamp rides along from the executable to the ready queue and feeds the
+// dispatch-latency histogram.
+type entry[T any] struct {
+	seq  uint64
+	at   time.Time
+	item T
 }
 
-// pop removes one frame per the given discipline; nil when empty.
-// Critical-path frames (paper §3.3 scheduling hints) always dispatch
-// first, whatever the policy; with no critical frame queued the policy
-// applies unchanged.
-func (q *frameQueue) pop(policy types.SchedulingClass) *wire.Microframe {
-	n := len(q.frames)
-	if n == 0 {
-		return nil
+// bucket is a growable ring of the entries of one priority. len(buf) is
+// zero or a power of two.
+type bucket[T any] struct {
+	prio types.Priority
+	buf  []entry[T]
+	head int
+	n    int
+}
+
+const (
+	// ringMin is a bucket's first capacity; it doubles from there.
+	ringMin = 8
+	// ringKeep is the largest ring an emptied bucket keeps for reuse. A
+	// burst that grew past it hands the array back to the collector, so
+	// one deep recursion does not pin megabytes for the daemon's lifetime.
+	ringKeep = 1024
+)
+
+func (b *bucket[T]) at(i int) *entry[T] { return &b.buf[(b.head+i)&(len(b.buf)-1)] }
+
+func (b *bucket[T]) front() *entry[T] { return &b.buf[b.head] }
+
+func (b *bucket[T]) back() *entry[T] { return b.at(b.n - 1) }
+
+func (b *bucket[T]) grow() {
+	size := 2 * len(b.buf)
+	if size < ringMin {
+		size = ringMin
 	}
-	idx := -1
-	for i, f := range q.frames {
-		if f.Prio >= types.PriorityCritical {
-			idx = i
+	buf := make([]entry[T], size) //sdvmlint:allow allocfree -- doubling: amortized over the pushes that filled the ring
+	for i := 0; i < b.n; i++ {
+		buf[i] = *b.at(i)
+	}
+	b.buf, b.head = buf, 0
+}
+
+func (b *bucket[T]) pushBack(e entry[T]) {
+	if b.n == len(b.buf) {
+		b.grow()
+	}
+	b.n++
+	*b.back() = e
+}
+
+// take removes the front (or back) entry. The vacated slot is zeroed so
+// the ring does not keep the frame alive.
+func (b *bucket[T]) take(fromBack bool) entry[T] {
+	slot := b.front()
+	if fromBack {
+		slot = b.back()
+	} else {
+		b.head = (b.head + 1) & (len(b.buf) - 1)
+	}
+	e := *slot
+	*slot = entry[T]{}
+	b.n--
+	b.releaseIfEmpty()
+	return e
+}
+
+// releaseIfEmpty hands a ring that grew past ringKeep back to the
+// collector once nothing is queued in it.
+func (b *bucket[T]) releaseIfEmpty() {
+	if b.n == 0 && len(b.buf) > ringKeep {
+		b.buf = nil
+	}
+}
+
+func (q *queue[T]) len() int { return q.n }
+
+// bucketFor returns the bucket of prio, inserting it in sorted position
+// if absent. An insertion first drops the buckets that have emptied —
+// their priorities are no longer in use — and hands one of their rings to
+// the newcomer, so a shallow queue alternating between priorities neither
+// accumulates buckets nor allocates.
+func (q *queue[T]) bucketFor(prio types.Priority) *bucket[T] {
+	for i := range q.buckets {
+		if q.buckets[i].prio == prio {
+			return &q.buckets[i]
+		}
+	}
+	var spare []entry[T]
+	live := q.buckets[:0]
+	for _, b := range q.buckets {
+		if b.n > 0 {
+			live = append(live, b) //sdvmlint:allow allocfree -- compacts in place, never grows
+		} else if spare == nil {
+			spare = b.buf
+		}
+	}
+	clear(q.buckets[len(live):]) // let go of the dropped buckets' rings
+	at := 0
+	for at < len(live) && live[at].prio < prio {
+		at++
+	}
+	live = append(live, bucket[T]{}) //sdvmlint:allow allocfree -- grows once per distinct priority in use
+	copy(live[at+1:], live[at:])
+	live[at] = bucket[T]{prio: prio, buf: spare}
+	q.buckets = live
+	return &q.buckets[at]
+}
+
+// push appends an item with the given priority; at is handed back by the
+// pop that removes it.
+//
+//sdvm:hotpath
+func (q *queue[T]) push(item T, prio types.Priority, at time.Time) {
+	q.seq++
+	q.n++
+	q.bucketFor(prio).pushBack(entry[T]{seq: q.seq, at: at, item: item})
+}
+
+// pop removes one item per the given discipline; ok is false when empty.
+// Critical-path frames (paper §3.3 scheduling hints) always dispatch
+// first, oldest first, whatever the policy; with no critical frame queued
+// the policy applies unchanged: FIFO takes the oldest entry, LIFO the
+// newest, SchedPriority the oldest entry of the highest priority.
+//
+//sdvm:hotpath
+func (q *queue[T]) pop(policy types.SchedulingClass) (item T, at time.Time, ok bool) {
+	var pick *bucket[T]
+	for i := len(q.buckets) - 1; i >= 0 && q.buckets[i].prio >= types.PriorityCritical; i-- {
+		if b := &q.buckets[i]; b.n > 0 && (pick == nil || b.front().seq < pick.front().seq) {
+			pick = b
+		}
+	}
+	if pick != nil {
+		return q.takeFrom(pick, false)
+	}
+	fromBack := policy == types.SchedLIFO
+	for i := len(q.buckets) - 1; i >= 0; i-- {
+		b := &q.buckets[i]
+		switch {
+		case b.n == 0:
+			continue
+		case pick == nil:
+			pick = b
+		case fromBack && b.back().seq > pick.back().seq,
+			!fromBack && b.front().seq < pick.front().seq:
+			pick = b
+		}
+		if policy == types.SchedPriority {
+			break // the scan descends: this is the top bucket in use
+		}
+	}
+	if pick == nil {
+		return item, at, false
+	}
+	return q.takeFrom(pick, fromBack)
+}
+
+// popSurrender removes the item best suited to give away to a peer: the
+// *lowest*-priority one (the newest of them under LIFO, else the oldest),
+// and never a critical-path frame — shipping the frame that unfolds the
+// next stage of the program detaches every peer's knowledge of where work
+// spawns.
+//
+//sdvm:hotpath
+func (q *queue[T]) popSurrender(policy types.SchedulingClass) (item T, at time.Time, ok bool) {
+	for i := range q.buckets {
+		b := &q.buckets[i]
+		if b.n == 0 {
+			continue
+		}
+		if b.prio >= types.PriorityCritical {
 			break
 		}
+		return q.takeFrom(b, policy == types.SchedLIFO)
 	}
-	if idx < 0 {
-		idx = pickIndex(n, policy, func(i int) types.Priority { return q.frames[i].Prio })
-	}
-	f := q.frames[idx]
-	q.frames = append(q.frames[:idx], q.frames[idx+1:]...)
-	return f
+	return item, at, false
 }
 
-// popSurrender removes the frame best suited to give away to a peer:
-// the *lowest*-priority frame (ties broken by policy), and never a
-// critical-path frame — shipping the frame that unfolds the next stage
-// of the program detaches every peer's knowledge of where work spawns.
-func (q *frameQueue) popSurrender(policy types.SchedulingClass) *wire.Microframe {
-	n := len(q.frames)
-	if n == 0 {
-		return nil
-	}
-	lowest := q.frames[0].Prio
-	for _, f := range q.frames[1:] {
-		if f.Prio < lowest {
-			lowest = f.Prio
-		}
-	}
-	if lowest >= types.PriorityCritical {
-		return nil
-	}
-	// Pick among the lowest-priority frames by policy order.
-	var idxs []int
-	for i, f := range q.frames {
-		if f.Prio == lowest {
-			idxs = append(idxs, i)
-		}
-	}
-	pick := idxs[pickIndex(len(idxs), policy, func(int) types.Priority { return 0 })]
-	f := q.frames[pick]
-	q.frames = append(q.frames[:pick], q.frames[pick+1:]...)
-	return f
+func (q *queue[T]) takeFrom(b *bucket[T], fromBack bool) (T, time.Time, bool) {
+	e := b.take(fromBack)
+	q.n--
+	return e.item, e.at, true
 }
 
-// drain removes and returns everything, oldest first.
-func (q *frameQueue) drain() []*wire.Microframe {
-	out := q.frames
-	q.frames = nil
+// all returns the queued items in arrival order without removing them:
+// a seq-merge of the buckets.
+func (q *queue[T]) all() []T {
+	out := make([]T, 0, q.n)
+	next := make([]int, len(q.buckets))
+	for len(out) < q.n {
+		pick := -1
+		for i := range q.buckets {
+			b := &q.buckets[i]
+			if next[i] < b.n && (pick < 0 || b.at(next[i]).seq < q.buckets[pick].at(next[pick]).seq) {
+				pick = i
+			}
+		}
+		out = append(out, q.buckets[pick].at(next[pick]).item)
+		next[pick]++
+	}
 	return out
 }
 
-// all returns the queued frames without removing them.
-func (q *frameQueue) all() []*wire.Microframe { return q.frames }
-
-// dropProgram removes all frames of one program.
-func (q *frameQueue) dropProgram(prog types.ProgramID) {
-	kept := q.frames[:0]
-	for _, f := range q.frames {
-		if f.Thread.Program != prog {
-			kept = append(kept, f)
-		}
-	}
-	q.frames = kept
+// drain removes and returns everything, oldest first.
+func (q *queue[T]) drain() []T {
+	out := q.all()
+	*q = queue[T]{}
+	return out
 }
 
-// pickIndex chooses the element index a policy selects from a queue of
-// length n whose elements arrived in index order. prio exposes element
-// priorities for SchedPriority (ties break FIFO).
-func pickIndex(n int, policy types.SchedulingClass, prio func(i int) types.Priority) int {
-	switch policy {
-	case types.SchedLIFO:
-		return n - 1
-	case types.SchedPriority:
-		best := 0
-		for i := 1; i < n; i++ {
-			//sdvmlint:allow allocfree -- prio is a caller-stack closure invoked inline, not stored
-			if prio(i) > prio(best) {
-				best = i
+// remove deletes every item match reports, keeping the rest in order. It
+// walks the whole queue: its one caller drops a terminated program's
+// frames, which happens once per program, not once per frame.
+func (q *queue[T]) remove(match func(T) bool) {
+	for i := range q.buckets {
+		b := &q.buckets[i]
+		kept := 0
+		for j := 0; j < b.n; j++ {
+			if e := *b.at(j); !match(e.item) {
+				*b.at(kept) = e
+				kept++
 			}
 		}
-		return best
-	default: // SchedFIFO
-		return 0
+		for j := kept; j < b.n; j++ {
+			*b.at(j) = entry[T]{}
+		}
+		q.n -= b.n - kept
+		b.n = kept
+		b.releaseIfEmpty()
 	}
 }

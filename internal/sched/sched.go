@@ -139,8 +139,8 @@ type Manager struct {
 	tr       *trace.Tracer
 
 	mu         sync.Mutex
-	executable *frameQueue // awaiting code resolution
-	ready      []*Ready    // awaiting the processing manager
+	executable queue[*wire.Microframe] // awaiting code resolution
+	ready      queue[*Ready]           // awaiting the processing manager
 	stats      Stats
 	closed     bool
 	begging    bool // one help round in flight per site
@@ -197,10 +197,6 @@ type Manager struct {
 	// met holds the metrics instruments; nil when metrics are disabled.
 	// Written once by SetMetrics before Start, read-only afterwards.
 	met *schedMetrics
-	// enqueuedAt remembers when each queued frame entered the executable
-	// queue, feeding the dispatch-latency histogram. Only populated while
-	// metrics are enabled. guarded by mu
-	enqueuedAt map[types.FrameID]time.Time
 }
 
 // schedMetrics bundles the scheduler's instruments.
@@ -242,9 +238,6 @@ func (m *Manager) SetMetrics(reg *metrics.Registry) {
 		dispatchLatency: reg.Histogram("sched.dispatch_latency", nil),
 		grantBatch:      reg.Histogram("sched.grant.batch", grantBatchBounds),
 	}
-	m.mu.Lock()
-	m.enqueuedAt = make(map[types.FrameID]time.Time)
-	m.mu.Unlock()
 	reg.GaugeFunc("sched.executable_depth", func() int64 {
 		m.mu.Lock()
 		defer m.mu.Unlock()
@@ -253,29 +246,27 @@ func (m *Manager) SetMetrics(reg *metrics.Registry) {
 	reg.GaugeFunc("sched.ready_depth", func() int64 {
 		m.mu.Lock()
 		defer m.mu.Unlock()
-		return int64(len(m.ready))
+		return int64(m.ready.len())
 	})
 }
 
-// observeDispatchLocked feeds the dispatch-latency histogram for a frame
-// leaving the queues toward a processor. Caller holds m.mu.
-func (m *Manager) observeDispatchLocked(id types.FrameID) {
-	if m.met == nil {
-		return
+// dispatchLocked removes the ready frame the local policy dispatches
+// next, counting it and feeding the dispatch-latency histogram with the
+// time since it became executable here. nil when none is ready. Caller
+// holds m.mu.
+func (m *Manager) dispatchLocked() *Ready {
+	r, at, ok := m.ready.pop(m.cfg.LocalPolicy)
+	if !ok {
+		return nil
 	}
-	if t0, ok := m.enqueuedAt[id]; ok {
-		delete(m.enqueuedAt, id)
-		m.met.dispatchLatency.Observe(time.Since(t0))
-	}
-}
-
-// forgetEnqueueLocked drops the latency bookkeeping for a frame that left
-// the queues without being dispatched locally (surrender, push, drop).
-// Caller holds m.mu.
-func (m *Manager) forgetEnqueueLocked(id types.FrameID) {
+	m.stats.Dispatched++
 	if m.met != nil {
-		delete(m.enqueuedAt, id)
+		m.met.dispatched.Inc()
+		if !at.IsZero() {
+			m.met.dispatchLatency.Observe(time.Since(at))
+		}
 	}
+	return r
 }
 
 // New returns a scheduling manager registered for MgrScheduling.
@@ -305,7 +296,6 @@ func New(bus *msgbus.Bus, cm *cluster.Manager, resolver Resolver, cfg Config) *M
 		cm:          cm,
 		resolver:    resolver,
 		cfg:         cfg,
-		executable:  newFrameQueue(),
 		parked:      make(map[types.SiteID]time.Time),
 		dead:        make(map[types.ProgramID]bool),
 		resolveKick: make(chan struct{}, 1),
@@ -372,7 +362,7 @@ func (m *Manager) Stats() Stats {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	s := m.stats
-	s.FramesInFlight = int32(m.executable.len() + len(m.ready))
+	s.FramesInFlight = int32(m.queuedLocked())
 	return s
 }
 
@@ -380,8 +370,11 @@ func (m *Manager) Stats() Stats {
 func (m *Manager) QueueLen() int {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	return m.executable.len() + len(m.ready)
+	return m.queuedLocked()
 }
+
+// queuedLocked counts the frames in both queues. Caller holds m.mu.
+func (m *Manager) queuedLocked() int { return m.executable.len() + m.ready.len() }
 
 // notifyResolve wakes the resolve loop without blocking.
 func (m *Manager) notifyResolve() {
@@ -459,19 +452,20 @@ func (m *Manager) enqueue(f *wire.Microframe, allowScatter bool) {
 	// and the central baseline distributes by pull only.
 	if allowScatter && !m.cfg.CentralSite.Valid() &&
 		(m.cfg.NoCriticalPinning || f.Prio < types.PriorityCritical) &&
-		m.executable.len()+len(m.ready) >= 2 {
+		m.queuedLocked() >= 2 {
 		if dst := m.scatterTargetLocked(); dst.Valid() {
 			m.mu.Unlock()
 			m.pushGranted(dst, f, "scatter")
 			return
 		}
 	}
-	m.executable.push(f, m.cfg.LocalPolicy)
-	m.stats.Enqueued++
+	var now time.Time // stays zero, and unobserved, with metrics off
 	if m.met != nil {
 		m.met.enqueued.Inc()
-		m.enqueuedAt[f.ID] = time.Now()
+		now = time.Now()
 	}
+	m.executable.push(f, f.Prio, now)
+	m.stats.Enqueued++
 	push := m.feedParkedLocked()
 	m.mu.Unlock()
 	m.tr.Record(trace.EvEnqueued, f.ID, f.Thread, "")
@@ -492,7 +486,9 @@ func (m *Manager) pushGranted(dst types.SiteID, f *wire.Microframe, why string) 
 	if logged {
 		g.RecordGrant(dst, f)
 	}
-	m.tr.Record(trace.EvGranted, f.ID, f.Thread, why+" to "+dst.String())
+	if m.tr.Enabled() {
+		m.tr.Record(trace.EvGranted, f.ID, f.Thread, why+" to "+dst.String())
+	}
 	m.mu.Lock()
 	m.stats.HelpServed++
 	m.mu.Unlock()
@@ -551,7 +547,7 @@ func (m *Manager) feedParkedLocked() *pendingPush {
 		return nil
 	}
 	// Keep one frame for ourselves, as with help replies.
-	if m.executable.len()+len(m.ready) <= 1 {
+	if m.queuedLocked() <= 1 {
 		return nil
 	}
 	now := time.Now()
@@ -567,16 +563,10 @@ func (m *Manager) feedParkedLocked() *pendingPush {
 	if dst == types.InvalidSite {
 		return nil
 	}
-	f := m.executable.popSurrender(m.cfg.HelpPolicy)
-	if f == nil {
-		if r := m.takeReadySurrenderLocked(m.cfg.HelpPolicy); r != nil {
-			f = r.Frame
-		}
-	}
+	f := m.popSurrenderLocked()
 	if f == nil {
 		return nil
 	}
-	m.forgetEnqueueLocked(f.ID)
 	delete(m.parked, dst)
 	return &pendingPush{dst: dst, frame: f}
 }
@@ -589,10 +579,10 @@ func (m *Manager) resolveLoop() {
 	defer m.wg.Done()
 	for {
 		m.mu.Lock()
-		f := m.executable.pop(m.cfg.LocalPolicy)
+		f, at, ok := m.executable.pop(m.cfg.LocalPolicy)
 		m.mu.Unlock()
 
-		if f == nil {
+		if !ok {
 			select {
 			case <-m.resolveKick:
 				continue
@@ -605,7 +595,6 @@ func (m *Manager) resolveLoop() {
 		if err != nil {
 			m.mu.Lock()
 			m.stats.ResolveErrs++
-			m.forgetEnqueueLocked(f.ID)
 			m.mu.Unlock()
 			if m.met != nil {
 				m.met.resolveErrs.Inc()
@@ -617,7 +606,7 @@ func (m *Manager) resolveLoop() {
 			m.mu.Unlock()
 			continue
 		}
-		m.ready = append(m.ready, &Ready{Frame: f, Fn: fn})
+		m.ready.push(&Ready{Frame: f, Fn: fn}, f.Prio, at)
 		m.mu.Unlock()
 		m.tr.Record(trace.EvCodeResolved, f.ID, f.Thread, "")
 		m.notifyReady()
@@ -643,14 +632,8 @@ func (m *Manager) GetWork() (r *Ready, ok bool) {
 			m.mu.Unlock()
 			return nil, false
 		}
-		if len(m.ready) > 0 {
-			r := m.takeReadyLocked(m.cfg.LocalPolicy)
-			m.stats.Dispatched++
-			m.observeDispatchLocked(r.Frame.ID)
+		if r := m.dispatchLocked(); r != nil {
 			m.mu.Unlock()
-			if m.met != nil {
-				m.met.dispatched.Inc()
-			}
 			m.tr.Record(trace.EvDispatched, r.Frame.ID, r.Frame.Thread, "")
 			return r, true
 		}
@@ -717,85 +700,11 @@ func (m *Manager) helpDelay(attempt int) time.Duration {
 func (m *Manager) TryGetWork() (*Ready, bool) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if m.closed || len(m.ready) == 0 {
+	if m.closed {
 		return nil, false
 	}
-	r := m.takeReadyLocked(m.cfg.LocalPolicy)
-	m.stats.Dispatched++
-	m.observeDispatchLocked(r.Frame.ID)
-	if m.met != nil {
-		m.met.dispatched.Inc()
-	}
-	return r, true
-}
-
-// takeReadyLocked removes one entry from the ready queue per policy;
-// critical-path frames always dispatch first (paper §3.3). Caller holds
-// m.mu. This is the dispatch inner loop: it must not allocate.
-//
-//sdvm:hotpath
-func (m *Manager) takeReadyLocked(policy types.SchedulingClass) *Ready {
-	idx := -1
-	for i, r := range m.ready {
-		if r.Frame.Prio >= types.PriorityCritical {
-			idx = i
-			break
-		}
-	}
-	if idx < 0 {
-		//sdvmlint:allow allocfree -- closure does not escape pickIndex and stays on the stack
-		idx = pickIndex(len(m.ready), policy, func(i int) types.Priority {
-			return m.ready[i].Frame.Prio
-		})
-	}
-	r := m.ready[idx]
-	m.ready = append(m.ready[:idx], m.ready[idx+1:]...) //sdvmlint:allow allocfree -- removal append shrinks, never grows
-	return r
-}
-
-// takeReadySurrenderLocked removes the lowest-priority non-critical
-// ready entry for a help grant, or nil. Ties break by the help policy,
-// mirroring frameQueue.popSurrender — a LIFO help reply surrenders the
-// newest equal-priority frame regardless of which queue the resolver
-// has moved it to. Caller holds m.mu. Runs on the dispatch path, so the
-// k-th matching index is found by a second scan instead of collecting
-// matches into a slice.
-//
-//sdvm:hotpath
-func (m *Manager) takeReadySurrenderLocked(policy types.SchedulingClass) *Ready {
-	if len(m.ready) == 0 {
-		return nil
-	}
-	lowest := m.ready[0].Frame.Prio
-	for _, r := range m.ready[1:] {
-		if r.Frame.Prio < lowest {
-			lowest = r.Frame.Prio
-		}
-	}
-	if lowest >= types.PriorityCritical {
-		return nil
-	}
-	count := 0
-	for _, r := range m.ready {
-		if r.Frame.Prio == lowest {
-			count++
-		}
-	}
-	//sdvmlint:allow allocfree -- closure does not escape pickIndex and stays on the stack
-	k := pickIndex(count, policy, func(int) types.Priority { return 0 })
-	idx := -1
-	for i, r := range m.ready {
-		if r.Frame.Prio == lowest {
-			if k == 0 {
-				idx = i
-				break
-			}
-			k--
-		}
-	}
-	r := m.ready[idx]
-	m.ready = append(m.ready[:idx], m.ready[idx+1:]...) //sdvmlint:allow allocfree -- removal append shrinks, never grows
-	return r
+	r := m.dispatchLocked()
+	return r, r != nil
 }
 
 // askForHelp runs one help-request round: ask up to MaxHelpFanout
@@ -825,7 +734,7 @@ func (m *Manager) askForHelp() bool {
 		// Local work may have arrived (a parked push, a fired frame)
 		// while we were begging; stop immediately.
 		m.mu.Lock()
-		if len(m.ready) > 0 || m.executable.len() > 0 {
+		if m.queuedLocked() > 0 {
 			m.mu.Unlock()
 			return true
 		}
@@ -875,7 +784,9 @@ func (m *Manager) acceptForeignFrame(f *wire.Microframe, from types.SiteID) {
 		m.mu.Lock()
 		m.lastGrantor = from
 		m.mu.Unlock()
-		m.tr.Record(trace.EvReceived, f.ID, f.Thread, "from "+from.String())
+		if m.tr.Enabled() {
+			m.tr.Record(trace.EvReceived, f.ID, f.Thread, "from "+from.String())
+		}
 	}
 	if m.unknownProg != nil && !m.knownProg(f.Thread.Program) {
 		m.unknownProg(f.Thread.Program, from)
@@ -916,48 +827,57 @@ func (m *Manager) grantorTarget(exclude map[types.SiteID]bool) types.SiteID {
 	return g
 }
 
-// surrenderFrame picks a frame to give away per the help policy:
-// executable queue first (no code resolution invested yet), then the
-// ready queue (strip the code pointer; the peer resolves it again).
-func (m *Manager) surrenderFrame() *wire.Microframe {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	// Keep the last frame for ourselves: handing away our only work
-	// would just bounce the idleness to this site. (A central-mode
-	// master is a pure dispatcher and gives everything away.)
-	total := m.executable.len() + len(m.ready)
-	keep := 1
+// surplusLocked counts the queued frames this site can give away. It
+// keeps the last frame for itself: handing away our only work would just
+// bounce the idleness to this site. (A central-mode master is a pure
+// dispatcher and gives everything away.) Caller holds m.mu.
+func (m *Manager) surplusLocked() int {
 	if m.cfg.CentralSite.Valid() && m.cfg.CentralSite == m.bus.Self() {
-		keep = 0
+		return m.queuedLocked()
 	}
-	if total <= keep {
-		return nil
-	}
-	if m.cfg.NoCriticalPinning {
-		if f := m.executable.pop(m.cfg.HelpPolicy); f != nil {
-			m.stats.HelpServed++
-			m.surrenderedLocked(f.ID)
-			return f
-		}
-		if len(m.ready) > 0 {
-			r := m.takeReadyLocked(m.cfg.HelpPolicy)
-			m.stats.HelpServed++
-			m.surrenderedLocked(r.Frame.ID)
-			return r.Frame
-		}
-		return nil
-	}
-	if f := m.executable.popSurrender(m.cfg.HelpPolicy); f != nil {
-		m.stats.HelpServed++
-		m.surrenderedLocked(f.ID)
+	return m.queuedLocked() - 1
+}
+
+// popSurrenderLocked takes the lowest-priority non-critical frame to give
+// away, ties broken by the help policy: executable queue first (no code
+// resolution invested yet), then the ready queue (strip the code pointer;
+// the peer resolves it again). Caller holds m.mu.
+func (m *Manager) popSurrenderLocked() *wire.Microframe {
+	if f, _, ok := m.executable.popSurrender(m.cfg.HelpPolicy); ok {
 		return f
 	}
-	if r := m.takeReadySurrenderLocked(m.cfg.HelpPolicy); r != nil {
-		m.stats.HelpServed++
-		m.surrenderedLocked(r.Frame.ID)
+	if r, _, ok := m.ready.popSurrender(m.cfg.HelpPolicy); ok {
 		return r.Frame
 	}
 	return nil
+}
+
+// surrenderFrame picks one frame to give away in a help reply and counts
+// it. Without critical pinning (A-7 ablation) the help policy pops from
+// the queues unrestricted.
+func (m *Manager) surrenderFrame() *wire.Microframe {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if m.surplusLocked() <= 0 {
+		return nil
+	}
+	var f *wire.Microframe
+	if !m.cfg.NoCriticalPinning {
+		f = m.popSurrenderLocked()
+	} else if e, _, ok := m.executable.pop(m.cfg.HelpPolicy); ok {
+		f = e
+	} else if r, _, ok := m.ready.pop(m.cfg.HelpPolicy); ok {
+		f = r.Frame
+	}
+	if f == nil {
+		return nil
+	}
+	m.stats.HelpServed++
+	if m.met != nil {
+		m.met.helpServed.Inc()
+		m.met.surrendered.Inc()
+	}
+	return f
 }
 
 // surrenderBatch picks up to HelpBatch frames to give away in one help
@@ -967,13 +887,8 @@ func (m *Manager) surrenderFrame() *wire.Microframe {
 // concurrent dispatch can only shrink the batch, never under-keep.
 func (m *Manager) surrenderBatch() []*wire.Microframe {
 	m.mu.Lock()
-	total := m.executable.len() + len(m.ready)
-	keep := 1
-	if m.cfg.CentralSite.Valid() && m.cfg.CentralSite == m.bus.Self() {
-		keep = 0
-	}
+	surplus := m.surplusLocked()
 	m.mu.Unlock()
-	surplus := total - keep
 	if surplus <= 0 {
 		return nil
 	}
@@ -992,17 +907,6 @@ func (m *Manager) surrenderBatch() []*wire.Microframe {
 	return out
 }
 
-// surrenderedLocked counts one frame given away to a peer. Caller holds
-// m.mu.
-func (m *Manager) surrenderedLocked(id types.FrameID) {
-	if m.met == nil {
-		return
-	}
-	m.met.helpServed.Inc()
-	m.met.surrendered.Inc()
-	delete(m.enqueuedAt, id)
-}
-
 // PushFrame proactively migrates an executable frame to another site
 // (sign-off relocation of queued work).
 func (m *Manager) PushFrame(dst types.SiteID, f *wire.Microframe) error {
@@ -1017,12 +921,8 @@ func (m *Manager) DrainAll() []*wire.Microframe {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	out := m.executable.drain()
-	for _, r := range m.ready {
+	for _, r := range m.ready.drain() {
 		out = append(out, r.Frame)
-	}
-	m.ready = nil
-	if m.met != nil {
-		m.enqueuedAt = make(map[types.FrameID]time.Time)
 	}
 	return out
 }
@@ -1032,20 +932,8 @@ func (m *Manager) DropProgram(prog types.ProgramID) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	m.dead[prog] = true
-	m.executable.dropProgram(prog)
-	kept := m.ready[:0]
-	for _, r := range m.ready {
-		if r.Frame.Thread.Program != prog {
-			kept = append(kept, r)
-		}
-	}
-	m.ready = kept
-	if m.met != nil {
-		// Latency entries are keyed by frame id only, so the dropped
-		// program's entries cannot be picked out; reset the whole table
-		// (termination is rare, losing a few pending samples is fine).
-		m.enqueuedAt = make(map[types.FrameID]time.Time)
-	}
+	m.executable.remove(func(f *wire.Microframe) bool { return f.Thread.Program == prog })
+	m.ready.remove(func(r *Ready) bool { return r.Frame.Thread.Program == prog })
 }
 
 // SnapshotFrames returns copies of all queued frames of one program
@@ -1059,7 +947,7 @@ func (m *Manager) SnapshotFrames(prog types.ProgramID) []*wire.Microframe {
 			out = append(out, f.Clone())
 		}
 	}
-	for _, r := range m.ready {
+	for _, r := range m.ready.all() {
 		if r.Frame.Thread.Program == prog {
 			out = append(out, r.Frame.Clone())
 		}

@@ -58,7 +58,7 @@ func (a *fakeAdopter) RecordGrant(grantee types.SiteID, f *wire.Microframe) {
 }
 
 // schedCluster builds n sites each with a scheduling manager.
-func schedCluster(t *testing.T, n int, cfg Config) ([]*testnet.Node, []*Manager) {
+func schedCluster(t testing.TB, n int, cfg Config) ([]*testnet.Node, []*Manager) {
 	t.Helper()
 	mgrs := make([]*Manager, n)
 	nodes := testnet.NewCluster(t, n, func(i int, node *testnet.Node) {
@@ -126,7 +126,7 @@ func TestLocalPriorityOrder(t *testing.T) {
 	testnet.WaitFor(t, "resolved", func() bool {
 		m.mu.Lock()
 		defer m.mu.Unlock()
-		return len(m.ready) == 3
+		return m.ready.len() == 3
 	})
 
 	r, _ := m.GetWork()

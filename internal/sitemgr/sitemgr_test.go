@@ -98,7 +98,11 @@ func TestPickSuccessorPrefersIdle(t *testing.T) {
 	ds := siteCluster(t, 3)
 	waitFor(t, "cluster complete", func() bool { return ds[0].CM.Size() == 3 })
 
-	// Report site 1 as busy, site 2 as idle.
+	// Report site 1 as busy, site 2 as idle. Their statistics loops stop
+	// first: the 20 ms ticker would overwrite a load reported by hand
+	// with the measured one (idle on both) before PickSuccessor reads it.
+	ds[1].Site.Close()
+	ds[2].Site.Close()
 	ds[1].CM.UpdateSelf(0.9, 5, 1)
 	ds[1].CM.BroadcastLoad()
 	ds[2].CM.UpdateSelf(0.0, 0, 0)
