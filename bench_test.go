@@ -1,9 +1,10 @@
 package sdvm
 
 // Benchmarks regenerating the paper's evaluation (§5) and the DESIGN.md
-// ablations. Each benchmark iteration is one complete program run on a
-// fresh in-process cluster; time/op is therefore the quantity the paper
-// tabulates (application wall-clock time).
+// ablations that still have a switch (A-2 window, A-3 security). Each
+// benchmark iteration is one complete program run on a fresh in-process
+// cluster; time/op is therefore the quantity the paper tabulates
+// (application wall-clock time).
 //
 // The default parameters are scaled down (see internal/bench) so the
 // whole sweep stays in CI range: p∈{100,200} instead of the paper's
@@ -22,14 +23,7 @@ import (
 	"time"
 
 	"repro/internal/bench"
-	"repro/internal/daemon"
-	"repro/internal/types"
-	"repro/internal/workloads"
 )
-
-// Thin aliases keep the benchmark bodies uniform.
-func workloadsMatMulApp() daemon.App                   { return workloads.MatMulApp() }
-func workloadsMatMulArgs(n, g int, c float64) [][]byte { return workloads.MatMulArgs(n, g, c) }
 
 // benchWorkUnit maps one Work unit to 1 ms; with benchCost = 6 a
 // candidate test costs 6 ms — 1/10 of the paper's ≈60 ms, the scale at
@@ -80,28 +74,6 @@ func BenchmarkOverheadSDVM1Site(b *testing.B) {
 	}
 }
 
-// BenchmarkSchedPolicy is ablation A-1: local×help scheduling policies
-// (the paper uses FIFO local + LIFO help).
-func BenchmarkSchedPolicy(b *testing.B) {
-	for _, local := range []types.SchedulingClass{types.SchedFIFO, types.SchedLIFO} {
-		for _, help := range []types.SchedulingClass{types.SchedFIFO, types.SchedLIFO} {
-			b.Run(fmt.Sprintf("local-%v_help-%v", local, help), func(b *testing.B) {
-				spec := bench.Spec{
-					Sites:       8,
-					WorkUnit:    benchWorkUnit,
-					LocalPolicy: local,
-					HelpPolicy:  help,
-				}
-				for i := 0; i < b.N; i++ {
-					if _, err := bench.RunPrimes(spec, 100, 20, benchCost); err != nil {
-						b.Fatal(err)
-					}
-				}
-			})
-		}
-	}
-}
-
 // BenchmarkLatencyWindow is ablation A-2: the processing manager's
 // latency-hiding window (paper: ≈5 microthreads in virtual parallel) on
 // the memory-bound matmul workload over a 2 ms-latency network.
@@ -139,43 +111,6 @@ func BenchmarkSecurity(b *testing.B) {
 	}
 }
 
-// BenchmarkIDAlloc is ablation A-4: mass sign-on under the three
-// logical-id allocation strategies (paper §4, cluster manager).
-func BenchmarkIDAlloc(b *testing.B) {
-	// One op = building a 16-site cluster from scratch.
-	names := []string{"central", "contingent", "modulo"}
-	for idx, name := range names {
-		b.Run(name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				out, err := bench.IDAlloc(16)
-				if err != nil {
-					b.Fatal(err)
-				}
-				_ = out[idx]
-			}
-		})
-	}
-}
-
-// BenchmarkCentralVsDecentral is ablation A-5: the SDVM's decentralized
-// help-request scheduling against the master/worker baseline the paper's
-// introduction argues against (Condor et al.).
-func BenchmarkCentralVsDecentral(b *testing.B) {
-	for _, mode := range []struct {
-		name    string
-		central bool
-	}{{"decentral", false}, {"central", true}} {
-		b.Run(mode.name, func(b *testing.B) {
-			spec := bench.Spec{Sites: 8, WorkUnit: benchWorkUnit, CentralSched: mode.central}
-			for i := 0; i < b.N; i++ {
-				if _, err := bench.RunPrimes(spec, 100, 20, benchCost); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
 // BenchmarkChurn measures a run with one site joining and one signing
 // off mid-computation (paper §3.4) against a static cluster.
 func BenchmarkChurn(b *testing.B) {
@@ -199,49 +134,5 @@ func BenchmarkHetero(b *testing.B) {
 		if res.Compiles == 0 {
 			b.Fatal("no on-the-fly compiles")
 		}
-	}
-}
-
-// BenchmarkReadReplication is ablation A-6: COMA read replication on the
-// memory-bound matmul workload (paper §4: objects "migrate or even be
-// copied to other sites").
-func BenchmarkReadReplication(b *testing.B) {
-	for _, mode := range []struct {
-		name    string
-		disable bool
-	}{{"replicated", false}, {"uncached", true}} {
-		b.Run(mode.name, func(b *testing.B) {
-			spec := bench.Spec{Sites: 4, WorkUnit: benchWorkUnit, NoReadReplication: mode.disable}
-			spec.Link.Latency = time.Millisecond
-			for i := 0; i < b.N; i++ {
-				c, err := bench.NewCluster(spec)
-				if err != nil {
-					b.Fatal(err)
-				}
-				_, _, err = c.Run(workloadsMatMulApp(), workloadsMatMulArgs(24, 4, 1)...)
-				c.Close()
-				if err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
-// BenchmarkCriticalPinning is ablation A-7: §3.3 critical-path hints
-// (the primes collector frames dispatch first and never migrate).
-func BenchmarkCriticalPinning(b *testing.B) {
-	for _, mode := range []struct {
-		name    string
-		disable bool
-	}{{"hints-on", false}, {"hints-off", true}} {
-		b.Run(mode.name, func(b *testing.B) {
-			spec := bench.Spec{Sites: 8, WorkUnit: benchWorkUnit, NoCriticalPinning: mode.disable}
-			for i := 0; i < b.N; i++ {
-				if _, err := bench.RunPrimes(spec, 100, 20, benchCost); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
 	}
 }

@@ -1,6 +1,6 @@
 // Command sdvmbench regenerates the paper's evaluation (§5) and the
-// ablation experiments listed in DESIGN.md, printing the same rows the
-// paper reports next to the published numbers.
+// experiments listed in DESIGN.md that still have a switch, printing the
+// same rows the paper reports next to the published numbers.
 //
 // Usage:
 //
@@ -10,19 +10,20 @@
 //	sdvmbench -exp churn             # §3.4 dynamic entry & exit
 //	sdvmbench -exp crash             # §2.2/§6 crash recovery
 //	sdvmbench -exp hetero            # §3.4 on-the-fly compilation
-//	sdvmbench -exp sched             # A-1 scheduling policies
 //	sdvmbench -exp window            # A-2 latency-hiding window
 //	sdvmbench -exp security          # A-3 encryption cost
-//	sdvmbench -exp idalloc           # A-4 id-allocation strategies
-//	sdvmbench -exp central           # A-5 central vs decentralized
+//	sdvmbench -exp scale             # goal 5 scalability curve
+//	sdvmbench -exp speeds            # §3.5 heterogeneous speeds
 //	sdvmbench -exp memstress         # P-1 sharded attraction-memory throughput
-//	sdvmbench -exp helpstorm         # P-2 batched help grants
 //	sdvmbench -exp scalestorm        # P-4 gossip membership at 64–256 sites
 //	sdvmbench -exp memread           # P-5 read replicas on a read-hot working set
 //	sdvmbench -exp all               # everything
 //
-// -exp also accepts a comma-separated list; the BENCH_2.json trajectory
-// point is `-exp overhead,memstress,helpstorm -json -out BENCH_2.json`.
+// -exp also accepts a comma-separated list; the CI trajectory point is
+// `-exp overhead,memstress,scalestorm,memread -json -out BENCH_CI.json`.
+// The A-1 and A-4 to A-7 ablations and P-2 measured switches the
+// production code no longer has; EXPERIMENTS.md records their results and
+// the commit to rerun them at.
 //
 // The -scale flag maps one Work unit to wall-clock microseconds; the
 // default 1000 (1 ms) runs the evaluation at roughly 1/30 of the paper's
@@ -41,7 +42,7 @@ import (
 
 func main() {
 	var (
-		exp     = flag.String("exp", "all", "experiment(s), comma-separated: table1|overhead|churn|crash|hetero|sched|window|security|idalloc|replication|pinning|scale|speeds|central|memstress|helpstorm|scalestorm|memread|all")
+		exp     = flag.String("exp", "all", "experiment(s), comma-separated: table1|overhead|churn|crash|hetero|window|security|scale|speeds|memstress|scalestorm|memread|all")
 		full    = flag.Bool("full", false, "table1: run every published row (p up to 1000); slow")
 		scale   = flag.Int("scale", 1000, "wall-clock microseconds per Work unit")
 		cost    = flag.Float64("cost", 2.0, "Work units per prime-candidate test")
@@ -123,12 +124,6 @@ func main() {
 			return expHetero(spec, *cost)
 		}))
 	}
-	if all || want["sched"] {
-		any = true
-		run("sched", "A-1 — scheduling policies (paper: FIFO local, LIFO help)", plain(func() error {
-			return expSched(spec, *cost)
-		}))
-	}
 	if all || want["window"] {
 		any = true
 		run("window", "A-2 — latency-hiding window (paper: ≈5)", plain(func() error {
@@ -141,16 +136,6 @@ func main() {
 			return expSecurity(spec, *cost)
 		}))
 	}
-	if all || want["idalloc"] {
-		any = true
-		run("idalloc", "A-4 — logical-id allocation strategies", plain(expIDAlloc))
-	}
-	if all || want["replication"] {
-		any = true
-		run("replication", "A-6 — COMA read replication on/off (matmul)", plain(func() error {
-			return expReplication(spec)
-		}))
-	}
 	if all || want["scale"] {
 		any = true
 		run("scale", "goal 5 — scalability curve", plain(func() error {
@@ -161,18 +146,6 @@ func main() {
 		any = true
 		run("speeds", "§3.5 — load balancing across heterogeneous speeds", plain(func() error {
 			return expSpeeds(spec, *cost)
-		}))
-	}
-	if all || want["pinning"] {
-		any = true
-		run("pinning", "A-7 — critical-path scheduling hints on/off (§3.3)", plain(func() error {
-			return expPinning(spec, *cost)
-		}))
-	}
-	if all || want["central"] {
-		any = true
-		run("central", "A-5 — decentralized vs central scheduling", plain(func() error {
-			return expCentral(spec, *cost)
 		}))
 	}
 	if all || want["memstress"] {
@@ -191,15 +164,6 @@ func main() {
 				s = nil
 			}
 			return expScaleStorm(s)
-		})
-	}
-	if all || want["helpstorm"] {
-		any = true
-		run("helpstorm", "P-2 — batched help grants", func(s *bench.Summary) error {
-			if report == nil {
-				s = nil
-			}
-			return expHelpStorm(spec, *cost, s)
 		})
 	}
 	if all || want["memread"] {
@@ -315,23 +279,6 @@ func expHetero(spec bench.Spec, cost float64) error {
 	return nil
 }
 
-func expSched(spec bench.Spec, cost float64) error {
-	s := spec
-	s.Sites = 8
-	out, err := bench.SchedPolicies(s, 200, 20, cost)
-	if err != nil {
-		return err
-	}
-	for _, r := range out {
-		marker := ""
-		if r.Local.String() == "fifo" && r.Help.String() == "lifo" {
-			marker = "   <- paper's choice"
-		}
-		fmt.Printf("    local=%-5v help=%-5v : %v%s\n", r.Local, r.Help, r.Elapsed.Round(time.Millisecond), marker)
-	}
-	return nil
-}
-
 func expWindow(spec bench.Spec) error {
 	s := spec
 	s.Sites = 4
@@ -359,29 +306,6 @@ func expSecurity(spec bench.Spec, cost float64) error {
 	fmt.Printf("    plaintext: %v   AES-GCM: %v   (+%.1f%%)\n",
 		res.Plain.Round(time.Millisecond), res.Encrypted.Round(time.Millisecond),
 		100*(float64(res.Encrypted)-float64(res.Plain))/float64(res.Plain))
-	return nil
-}
-
-func expIDAlloc() error {
-	out, err := bench.IDAlloc(32)
-	if err != nil {
-		return err
-	}
-	for _, r := range out {
-		fmt.Printf("    %-10s : %d sites signed on in %v\n", r.Strategy, r.Sites, r.Elapsed.Round(time.Millisecond))
-	}
-	return nil
-}
-
-func expReplication(spec bench.Spec) error {
-	s := spec
-	s.Sites = 4
-	res, err := bench.ReadReplication(s, 32, 4, 1)
-	if err != nil {
-		return err
-	}
-	fmt.Printf("    replication on: %v (%d replica hits)   off: %v\n",
-		res.With.Round(time.Millisecond), res.Hits, res.Without.Round(time.Millisecond))
 	return nil
 }
 
@@ -416,18 +340,6 @@ func expSpeeds(spec bench.Spec, cost float64) error {
 	return nil
 }
 
-func expPinning(spec bench.Spec, cost float64) error {
-	s := spec
-	s.Sites = 8
-	res, err := bench.CriticalPinning(s, 200, 20, cost)
-	if err != nil {
-		return err
-	}
-	fmt.Printf("    hints on: %v   off: %v\n",
-		res.With.Round(time.Millisecond), res.Without.Round(time.Millisecond))
-	return nil
-}
-
 func expMemStress(spec bench.Spec, sum *bench.Summary) error {
 	res, err := bench.MemStress(spec, 8, 16, 8000, 4)
 	if err != nil {
@@ -444,34 +356,6 @@ func expMemStress(spec bench.Spec, sum *bench.Summary) error {
 			"procs":            float64(res.Procs),
 			"scaling":          res.Scaling,
 			"shard_contention": float64(res.Contention),
-		}
-	}
-	return nil
-}
-
-func expHelpStorm(spec bench.Spec, cost float64, sum *bench.Summary) error {
-	res, err := bench.HelpStorm(spec, 200, 20, cost)
-	if err != nil {
-		return err
-	}
-	avg := 0.0
-	if res.Grants > 0 {
-		avg = float64(res.GrantFrames) / float64(res.Grants)
-	}
-	fmt.Printf("    single grants: %v   batched grants: %v\n",
-		res.Single.Round(time.Millisecond), res.Batched.Round(time.Millisecond))
-	fmt.Printf("    batched run: %d grants moved %d frames (avg %.1f/reply)\n",
-		res.Grants, res.GrantFrames, avg)
-	fmt.Printf("    messages that shared an envelope: %d single, %d batched\n",
-		res.CoalescedSingle, res.Coalesced)
-	if sum != nil {
-		sum.Values = map[string]float64{
-			"single_ms":        float64(res.Single) / float64(time.Millisecond),
-			"batched_ms":       float64(res.Batched) / float64(time.Millisecond),
-			"grants":           float64(res.Grants),
-			"grant_frames":     float64(res.GrantFrames),
-			"coalesced_single": float64(res.CoalescedSingle),
-			"coalesced":        float64(res.Coalesced),
 		}
 	}
 	return nil
@@ -508,40 +392,16 @@ func expMemRead(spec bench.Spec, sum *bench.Summary) error {
 	if err != nil {
 		return err
 	}
-	fmt.Printf("    replication on: %.0f reads/s (%d replica hits, %d remote fetches)\n",
-		res.OpsWith, res.ReplicaHits, res.RemoteWith)
-	fmt.Printf("    replication off: %.0f reads/s (%d remote fetches)   owner writes during run: %d\n",
-		res.OpsWithout, res.RemoteWithout, res.Writes)
-	fmt.Printf("    effective: %v (hits observed and strictly fewer cross-site fetches)\n", res.Effective)
+	fmt.Printf("    %.0f reads/s   %d replica hits   %d remote fetches   owner writes during run: %d\n",
+		res.Ops, res.ReplicaHits, res.Remote, res.Writes)
 	if sum != nil {
-		effective := 0.0
-		if res.Effective {
-			effective = 1
-		}
 		sum.Values = map[string]float64{
-			"ops_per_sec_with":    res.OpsWith,
-			"ops_per_sec_without": res.OpsWithout,
-			"replica_hits":        float64(res.ReplicaHits),
-			"remote_with":         float64(res.RemoteWith),
-			"remote_without":      float64(res.RemoteWithout),
-			"owner_writes":        float64(res.Writes),
-			"effective":           effective,
+			"ops_per_sec":  res.Ops,
+			"replica_hits": float64(res.ReplicaHits),
+			"remote_reads": float64(res.Remote),
+			"owner_writes": float64(res.Writes),
 		}
 		sum.Metrics = res.Metrics
-	}
-	return nil
-}
-
-func expCentral(spec bench.Spec, cost float64) error {
-	for _, sites := range []int{8, 16} {
-		s := spec
-		s.Sites = sites
-		res, err := bench.CentralVsDecentral(s, 200, 20, cost)
-		if err != nil {
-			return err
-		}
-		fmt.Printf("    %2d sites: decentralized (SDVM): %v   central master/worker: %v\n",
-			sites, res.Decentral.Round(time.Millisecond), res.Central.Round(time.Millisecond))
 	}
 	return nil
 }

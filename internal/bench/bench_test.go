@@ -3,8 +3,6 @@ package bench
 import (
 	"testing"
 	"time"
-
-	"repro/internal/types"
 )
 
 // The harness's own tests run tiny configurations: they validate the
@@ -83,26 +81,6 @@ func TestCrashSmall(t *testing.T) {
 	}
 }
 
-func TestSchedPoliciesSmall(t *testing.T) {
-	out, err := SchedPolicies(Spec{Sites: 2, WorkUnit: 500 * time.Microsecond}, 20, 8, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(out) != 4 {
-		t.Fatalf("%d policy results", len(out))
-	}
-	seen := map[[2]types.SchedulingClass]bool{}
-	for _, r := range out {
-		seen[[2]types.SchedulingClass{r.Local, r.Help}] = true
-		if r.Elapsed <= 0 {
-			t.Error("zero elapsed")
-		}
-	}
-	if len(seen) != 4 {
-		t.Fatalf("policy combinations missing: %v", seen)
-	}
-}
-
 func TestWindowSweepSmall(t *testing.T) {
 	out, err := WindowSweep(Spec{Sites: 2, WorkUnit: 500 * time.Microsecond}, []int{1, 5}, 12, 2, 1)
 	if err != nil {
@@ -120,27 +98,6 @@ func TestSecuritySmall(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Logf("plain=%v encrypted=%v", res.Plain, res.Encrypted)
-}
-
-func TestIDAllocSmall(t *testing.T) {
-	out, err := IDAlloc(6)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(out) != 3 {
-		t.Fatalf("%d strategies measured", len(out))
-	}
-	for _, r := range out {
-		t.Logf("%s: %v", r.Strategy, r.Elapsed)
-	}
-}
-
-func TestCentralVsDecentralSmall(t *testing.T) {
-	res, err := CentralVsDecentral(Spec{Sites: 3, WorkUnit: 500 * time.Microsecond}, 30, 10, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Logf("decentral=%v central=%v", res.Decentral, res.Central)
 }
 
 func TestHeteroSmall(t *testing.T) {

@@ -1,7 +1,7 @@
 // Performance experiments behind the hot-path pass: sharded attraction
-// memory, batched help grants and per-peer message coalescing. These are
-// the P-experiments BENCH_2.json records next to the O-1 overhead point;
-// DESIGN.md §9 explains what each one locks in.
+// memory, gossip membership at scale and read replicas. These are the
+// P-experiments the BENCH_N.json trajectory points record next to the O-1
+// overhead point; DESIGN.md §9 explains what each one locks in.
 package bench
 
 import (
@@ -11,7 +11,6 @@ import (
 	"time"
 
 	"repro/internal/types"
-	"repro/internal/workloads"
 )
 
 // MemStressResult is the P-1 sharded-memory throughput measurement.
@@ -99,62 +98,6 @@ func MemStress(spec Spec, workers, addrsPerWorker, rounds, procs int) (MemStress
 		OpsN:       opsN,
 		Scaling:    opsN / ops1,
 		Contention: mem.Stats().ShardContention,
-	}, nil
-}
-
-// HelpStormResult is the P-2 batched-grant measurement.
-type HelpStormResult struct {
-	Single          time.Duration // HelpBatch=1 (pre-batching behavior)
-	Batched         time.Duration // HelpBatch=8
-	Grants          int64         // batched run: help replies that granted frames
-	GrantFrames     int64         // batched run: frames granted across those replies
-	CoalescedSingle int64         // single run: messages that shared an envelope
-	Coalesced       int64         // batched run: messages that shared an envelope
-}
-
-// HelpStorm runs the primes workload on a cluster whose idle sites keep
-// begging the busy one for work — the help-protocol hot path — once with
-// single-frame grants and once with batched grants, and reports the
-// grant counters of the batched run and, from both, how many messages
-// the network manager packed into shared envelopes.
-func HelpStorm(spec Spec, p, width int, cost float64) (HelpStormResult, error) {
-	s := spec
-	s.Sites = 4
-	s.Metrics = true
-	run := func(helpBatch int) (time.Duration, map[string]int64, error) {
-		s.HelpBatch = helpBatch
-		c, err := NewCluster(s)
-		if err != nil {
-			return 0, nil, err
-		}
-		defer c.Close()
-		elapsed, raw, err := c.Run(workloads.PrimesApp(), workloads.PrimesArgs(p, width, cost)...)
-		if err != nil {
-			return 0, nil, err
-		}
-		primes := workloads.ParsePrimesResult(raw)
-		if len(primes) != p || primes[p-1] != workloads.NthPrime(p) {
-			return 0, nil, fmt.Errorf("bench: helpstorm result wrong (%d primes)", len(primes))
-		}
-		return elapsed, c.MetricsTotals(), nil
-	}
-	single, singleTotals, err := run(1)
-	if err != nil {
-		return HelpStormResult{}, err
-	}
-	batched, totals, err := run(8)
-	if err != nil {
-		return HelpStormResult{}, err
-	}
-	return HelpStormResult{
-		Single:  single,
-		Batched: batched,
-		// The grant histogram observes the batch size as a unitless
-		// Duration, so sum_ns is the total frames granted in batches.
-		Grants:          totals["sched.grant.batch.count"],
-		GrantFrames:     totals["sched.grant.batch.sum_ns"],
-		CoalescedSingle: singleTotals["net.coalesced"],
-		Coalesced:       totals["net.coalesced"],
 	}, nil
 }
 
@@ -247,131 +190,105 @@ func scaleStormOne(n int, workUnit time.Duration) (ScaleStormPoint, error) {
 	return pt, nil
 }
 
-// MemReadResult is the P-5 read-replica measurement: the same cluster
-// and read-hot access pattern, with the replica protocol on and off.
+// MemReadResult is the P-5 read-replica measurement.
 type MemReadResult struct {
-	OpsWith       float64 // reads/sec, replication on
-	OpsWithout    float64 // reads/sec, replication off
-	ReplicaHits   uint64  // replication on: reads served from a local replica
-	RemoteWith    uint64  // replication on: reads that crossed the network
-	RemoteWithout uint64  // replication off: ditto (≈ every read)
-	Writes        uint64  // background owner writes per run (invalidation traffic)
-	Effective     bool    // hits observed AND strictly fewer remote fetches
+	Ops         float64 // reads/sec
+	ReplicaHits uint64  // reads served from a local replica
+	Remote      uint64  // reads that crossed the network
+	Writes      uint64  // background owner writes during the run (invalidation traffic)
 
-	// Metrics is the replication-on run's cluster-wide counter totals,
-	// so the trajectory report carries mem.replica.hits and
-	// mem.replica.invalidations next to the derived numbers.
+	// Metrics is the run's cluster-wide counter totals, so the trajectory
+	// report carries mem.replica.hits and mem.replica.invalidations next
+	// to the derived numbers.
 	Metrics map[string]int64
 }
 
-// MemRead measures what the read-replica protocol buys on a read-hot
-// working set: `readers` goroutines on every non-owner site sweep the
-// owner's objects `rounds` times while the owner keeps writing in the
-// background (so invalidations are part of the measurement, not assumed
-// away). With replication off every read is a cross-site round-trip;
-// with it on, all but the first fault-in per (site, object) — and the
-// re-faults after each invalidation — are served locally.
+// MemRead measures the read-replica protocol on a read-hot working set:
+// `readers` goroutines on every non-owner site sweep the owner's objects
+// `rounds` times while the owner keeps writing in the background (so
+// invalidations are part of the measurement, not assumed away). All but
+// the first fault-in per (site, object) — and the re-faults after each
+// invalidation — are served locally.
 func MemRead(spec Spec, readers, objects, rounds int) (MemReadResult, error) {
 	if spec.Link.Latency == 0 {
 		spec.Link.Latency = 200 * time.Microsecond
 	}
-	run := func(disable bool) (ops float64, hits, remote, writes uint64, totals map[string]int64, err error) {
-		s := spec
-		s.Sites = 4
-		s.Metrics = true
-		s.NoReadReplication = disable
-		c, err := NewCluster(s)
-		if err != nil {
-			return 0, 0, 0, 0, nil, err
-		}
-		defer c.Close()
+	s := spec
+	s.Sites = 4
+	s.Metrics = true
+	c, err := NewCluster(s)
+	if err != nil {
+		return MemReadResult{}, err
+	}
+	defer c.Close()
 
-		own := c.Daemons[0].Mem
-		pid := types.MakeProgramID(1, 1)
-		addrs := make([]types.GlobalAddr, objects)
-		for i := range addrs {
-			addrs[i] = own.Alloc(pid, make([]byte, 64))
-		}
+	own := c.Daemons[0].Mem
+	pid := types.MakeProgramID(1, 1)
+	addrs := make([]types.GlobalAddr, objects)
+	for i := range addrs {
+		addrs[i] = own.Alloc(pid, make([]byte, 64))
+	}
 
-		// Background writer: steady owner-side stores, so the run prices
-		// in invalidation rounds and replica re-faults.
-		stop := make(chan struct{})
-		var writerDone sync.WaitGroup
-		writerDone.Add(1)
-		var wrote uint64
-		go func() {
-			defer writerDone.Done()
-			buf := make([]byte, 64)
-			tick := time.NewTicker(10 * time.Millisecond)
-			defer tick.Stop()
-			for i := 0; ; i++ {
-				select {
-				case <-stop:
-					return
-				case <-tick.C:
-					if own.Write(addrs[i%len(addrs)], 0, buf) == nil {
-						wrote++
-					}
+	// Background writer: steady owner-side stores, so the run prices in
+	// invalidation rounds and replica re-faults.
+	stop := make(chan struct{})
+	var writerDone sync.WaitGroup
+	writerDone.Add(1)
+	var wrote uint64
+	go func() {
+		defer writerDone.Done()
+		buf := make([]byte, 64)
+		tick := time.NewTicker(10 * time.Millisecond)
+		defer tick.Stop()
+		for i := 0; ; i++ {
+			select {
+			case <-stop:
+				return
+			case <-tick.C:
+				if own.Write(addrs[i%len(addrs)], 0, buf) == nil {
+					wrote++
 				}
 			}
-		}()
+		}
+	}()
 
-		var (
-			wg       sync.WaitGroup
-			errOnce  sync.Once
-			firstErr error
-		)
-		fail := func(err error) { errOnce.Do(func() { firstErr = err }) }
-		start := time.Now()
-		for site := 1; site < s.Sites; site++ {
-			mem := c.Daemons[site].Mem
-			for w := 0; w < readers; w++ {
-				wg.Add(1)
-				go func(site, w int) {
-					defer wg.Done()
-					for r := 0; r < rounds; r++ {
-						for _, a := range addrs {
-							if _, err := mem.Read(a); err != nil {
-								fail(fmt.Errorf("site %d reader %d: %w", site, w, err))
-								return
-							}
+	var (
+		wg       sync.WaitGroup
+		errOnce  sync.Once
+		firstErr error
+	)
+	fail := func(err error) { errOnce.Do(func() { firstErr = err }) }
+	start := time.Now()
+	for site := 1; site < s.Sites; site++ {
+		mem := c.Daemons[site].Mem
+		for w := 0; w < readers; w++ {
+			wg.Add(1)
+			go func(site, w int) {
+				defer wg.Done()
+				for r := 0; r < rounds; r++ {
+					for _, a := range addrs {
+						if _, err := mem.Read(a); err != nil {
+							fail(fmt.Errorf("site %d reader %d: %w", site, w, err))
+							return
 						}
 					}
-				}(site, w)
-			}
+				}
+			}(site, w)
 		}
-		wg.Wait()
-		elapsed := time.Since(start)
-		close(stop)
-		writerDone.Wait()
-		if firstErr != nil {
-			return 0, 0, 0, 0, nil, firstErr
-		}
-		for _, d := range c.Daemons {
-			st := d.Mem.Stats()
-			hits += st.ReplicaHits
-			remote += st.RemoteReads
-		}
-		reads := float64((s.Sites - 1) * readers * objects * rounds)
-		return reads / elapsed.Seconds(), hits, remote, wrote, c.MetricsTotals(), nil
 	}
-
-	opsWith, hits, remoteWith, writes, totals, err := run(false)
-	if err != nil {
-		return MemReadResult{}, err
+	wg.Wait()
+	elapsed := time.Since(start)
+	close(stop)
+	writerDone.Wait()
+	if firstErr != nil {
+		return MemReadResult{}, firstErr
 	}
-	opsWithout, _, remoteWithout, _, _, err := run(true)
-	if err != nil {
-		return MemReadResult{}, err
+	res := MemReadResult{Writes: wrote, Metrics: c.MetricsTotals()}
+	for _, d := range c.Daemons {
+		st := d.Mem.Stats()
+		res.ReplicaHits += st.ReplicaHits
+		res.Remote += st.RemoteReads
 	}
-	return MemReadResult{
-		OpsWith:       opsWith,
-		OpsWithout:    opsWithout,
-		ReplicaHits:   hits,
-		RemoteWith:    remoteWith,
-		RemoteWithout: remoteWithout,
-		Writes:        writes,
-		Effective:     hits > 0 && remoteWith < remoteWithout,
-		Metrics:       totals,
-	}, nil
+	res.Ops = float64((s.Sites-1)*readers*objects*rounds) / elapsed.Seconds()
+	return res, nil
 }

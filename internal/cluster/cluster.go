@@ -3,10 +3,10 @@
 // The cluster manager "maintains a list containing information about
 // every site participating in the cluster": logical and physical
 // addresses, platform id, relative speed, and load statistics. It runs
-// the sign-on protocol (paper §3.4), allocates logical ids with one of
-// three strategies, propagates membership knowledge, and answers the
-// scheduling manager's question "which site should I send a help request
-// to?" based on the statistics it holds about other sites.
+// the sign-on protocol (paper §3.4), allocates logical ids from the
+// bootstrap site's counter, propagates membership knowledge, and answers
+// the scheduling manager's question "which site should I send a help
+// request to?" based on the statistics it holds about other sites.
 package cluster
 
 import (
@@ -33,10 +33,6 @@ type Config struct {
 	Platform types.PlatformID
 	// Speed is the site's relative processing speed (1.0 = reference).
 	Speed float64
-	// Strategy selects the logical-id allocation concept.
-	Strategy Strategy
-	// ContingentBlock is the block size for StrategyContingent.
-	ContingentBlock uint32
 	// Reliable marks this site as part of the reliable core
 	// (paper §2.2): checkpoints of unsafe sites are stored here.
 	Reliable bool
@@ -51,12 +47,11 @@ type Manager struct {
 	cfg  Config
 	rand *rand.Rand
 
-	mu        sync.RWMutex
-	self      types.SiteInfo
-	sites     map[types.SiteID]types.SiteInfo // excludes self
-	departed  map[types.SiteID]string         // signed-off or crashed → last physical address
-	alloc     IDAllocator
-	bootstrap bool
+	mu       sync.RWMutex
+	self     types.SiteInfo
+	sites    map[types.SiteID]types.SiteInfo // excludes self
+	departed map[types.SiteID]string         // signed-off or crashed → last physical address
+	ids      *idCounter                      // the id space; bootstrap site only
 
 	// onJoin/onLeave observers; the site and checkpoint managers hook
 	// membership changes.
@@ -109,7 +104,7 @@ func (m *Manager) SetPhysAddr(addr string) {
 func (m *Manager) Bootstrap() {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	m.bootstrap = true
+	m.ids = &idCounter{next: uint32(BootstrapID) + 1}
 	m.self = types.SiteInfo{
 		ID:         BootstrapID,
 		PhysAddr:   m.cfg.PhysAddr,
@@ -119,7 +114,6 @@ func (m *Manager) Bootstrap() {
 		Reliable:   m.cfg.Reliable,
 	}
 	m.bus.SetSelf(BootstrapID)
-	m.installAllocatorLocked()
 }
 
 // Join signs on to an existing cluster through the site listening at
@@ -162,30 +156,8 @@ func (m *Manager) Join(contactAddr string, timeout time.Duration) error {
 	// Drop any phantom self entry a racing announcement created before
 	// the assigned id was known.
 	delete(m.sites, ack.Assigned)
-	m.installAllocatorLocked()
 	m.mu.Unlock()
 	return nil
-}
-
-// installAllocatorLocked wires the id-allocation strategy once the local
-// id is known. Caller holds m.mu.
-func (m *Manager) installAllocatorLocked() {
-	switch m.cfg.Strategy {
-	case StrategyCentral:
-		if m.bootstrap {
-			m.alloc = newCounterAllocator(BootstrapID + 1)
-		} else {
-			m.alloc = &remoteAllocator{bus: m.bus, server: BootstrapID}
-		}
-	case StrategyContingent:
-		if m.bootstrap {
-			m.alloc = newCounterAllocator(BootstrapID + 1)
-		} else {
-			m.alloc = newContingentAllocator(m.bus, BootstrapID, m.cfg.ContingentBlock)
-		}
-	case StrategyModulo:
-		m.alloc = newModuloAllocator(m.self.ID)
-	}
 }
 
 // Self returns this site's current cluster-list entry.
@@ -523,7 +495,7 @@ func (m *Manager) AnnounceSignOff() {
 func (m *Manager) HandleMessage(msg *wire.Message) {
 	switch p := msg.Payload.(type) {
 	case *wire.SignOnRequest:
-		// Allocation may call out to the id server; never block the
+		// Allocation may call out to the bootstrap site; never block the
 		// dispatcher.
 		go m.handleSignOn(msg, p)
 	case *wire.IDBlockRequest:
@@ -545,13 +517,19 @@ func (m *Manager) HandleMessage(msg *wire.Message) {
 
 func (m *Manager) handleSignOn(msg *wire.Message, req *wire.SignOnRequest) {
 	m.mu.RLock()
-	alloc := m.alloc
+	ids, signedOn := m.ids, m.self.ID.Valid()
 	m.mu.RUnlock()
-	if alloc == nil {
+	if !signedOn {
 		_ = m.bus.ReplyErr(msg, types.MgrCluster, wire.ErrCodeShutdown, "site not signed on itself")
 		return
 	}
-	id, err := alloc.Next()
+	var id types.SiteID
+	var err error
+	if ids != nil {
+		id, err = ids.grant(1)
+	} else {
+		id, err = m.requestID()
+	}
 	if err != nil {
 		_ = m.bus.ReplyErr(msg, types.MgrCluster, wire.ErrCodeGeneric, err.Error())
 		return
@@ -607,10 +585,9 @@ func (m *Manager) handleSignOn(msg *wire.Message, req *wire.SignOnRequest) {
 
 func (m *Manager) handleIDBlock(msg *wire.Message, req *wire.IDBlockRequest) {
 	m.mu.RLock()
-	alloc := m.alloc
-	bootstrap := m.bootstrap
+	ids := m.ids
 	m.mu.RUnlock()
-	if !bootstrap || alloc == nil {
+	if ids == nil {
 		_ = m.bus.ReplyErr(msg, types.MgrCluster, wire.ErrCodeGeneric, "not an id server")
 		return
 	}
@@ -618,7 +595,7 @@ func (m *Manager) handleIDBlock(msg *wire.Message, req *wire.IDBlockRequest) {
 	if want == 0 {
 		want = 1
 	}
-	first, err := alloc.Grant(want)
+	first, err := ids.grant(want)
 	if err != nil {
 		_ = m.bus.ReplyErr(msg, types.MgrCluster, wire.ErrCodeGeneric, err.Error())
 		return

@@ -58,21 +58,43 @@ func (f *forwardResolver) SiteIDs() []types.SiteID                  { return f.m
 
 // buildCluster bootstraps one site and joins n-1 more, all through the
 // bootstrap site as contact.
-func buildCluster(t *testing.T, n int, strategy Strategy) []*node {
+func buildCluster(t *testing.T, n int) []*node {
+	return buildClusterVia(t, n, false)
+}
+
+// buildClusterVia bootstraps one site and joins n-1 more. Relayed, each
+// newcomer signs on through the site that joined just before it, so
+// every id after the first is relayed to the bootstrap site.
+func buildClusterVia(t *testing.T, n int, relayed bool) []*node {
 	t.Helper()
 	fab := inproc.New(inproc.LinkProfile{})
 	t.Cleanup(fab.Close)
 
 	nodes := make([]*node, n)
-	nodes[0] = newNode(t, fab, "site-0", Config{Strategy: strategy})
+	nodes[0] = newNode(t, fab, "site-0", Config{})
 	nodes[0].cm.Bootstrap()
 	for i := 1; i < n; i++ {
-		nodes[i] = newNode(t, fab, fmt.Sprintf("site-%d", i), Config{Strategy: strategy})
-		if err := nodes[i].cm.Join("site-0", 5*time.Second); err != nil {
+		nodes[i] = newNode(t, fab, fmt.Sprintf("site-%d", i), Config{})
+		contact := "site-0"
+		if relayed {
+			contact = fmt.Sprintf("site-%d", i-1)
+		}
+		if err := nodes[i].cm.Join(contact, 5*time.Second); err != nil {
 			t.Fatalf("site %d join: %v", i, err)
 		}
 	}
 	return nodes
+}
+
+// contacts names the two ways a newcomer reaches the id counter: asking
+// the bootstrap site (the paper's central contact site) directly, or
+// signing on through another member, which relays the id request.
+var contacts = []struct {
+	name    string
+	relayed bool
+}{
+	{"central", false},
+	{"relayed", true},
 }
 
 // waitFor polls until cond holds or the deadline expires.
@@ -89,7 +111,7 @@ func waitFor(t *testing.T, what string, cond func() bool) {
 }
 
 func TestBootstrapTakesID1(t *testing.T) {
-	nodes := buildCluster(t, 1, StrategyCentral)
+	nodes := buildCluster(t, 1)
 	if got := nodes[0].cm.SelfID(); got != BootstrapID {
 		t.Fatalf("bootstrap id = %v", got)
 	}
@@ -102,9 +124,9 @@ func TestBootstrapTakesID1(t *testing.T) {
 }
 
 func TestJoinAssignsUniqueIDs(t *testing.T) {
-	for _, strat := range []Strategy{StrategyCentral, StrategyContingent, StrategyModulo} {
-		t.Run(strat.String(), func(t *testing.T) {
-			nodes := buildCluster(t, 5, strat)
+	for _, via := range contacts {
+		t.Run(via.name, func(t *testing.T) {
+			nodes := buildClusterVia(t, 5, via.relayed)
 			seen := map[types.SiteID]bool{}
 			for i, n := range nodes {
 				id := n.cm.SelfID()
@@ -121,7 +143,7 @@ func TestJoinAssignsUniqueIDs(t *testing.T) {
 }
 
 func TestJoinPropagatesClusterList(t *testing.T) {
-	nodes := buildCluster(t, 4, StrategyCentral)
+	nodes := buildCluster(t, 4)
 	// Announcements are asynchronous; every site must eventually know
 	// all 4 members.
 	for i, n := range nodes {
@@ -133,9 +155,9 @@ func TestJoinPropagatesClusterList(t *testing.T) {
 }
 
 func TestJoinViaNonBootstrapSite(t *testing.T) {
-	// With the central strategy, a sign-on handled by a non-bootstrap
-	// site must forward the id allocation to the bootstrap site.
-	nodes := buildCluster(t, 2, StrategyCentral)
+	// A sign-on handled by a non-bootstrap site must forward the id
+	// allocation to the bootstrap site.
+	nodes := buildCluster(t, 2)
 	fabNode := nodes[1]
 	waitFor(t, "site-1 knows both", func() bool { return fabNode.cm.Size() == 2 })
 
@@ -148,13 +170,13 @@ func TestJoinViaNonBootstrapSite(t *testing.T) {
 	// recreate the scenario from scratch here.
 	fab2 := inproc.New(inproc.LinkProfile{})
 	t.Cleanup(fab2.Close)
-	a := newNode(t, fab2, "a", Config{Strategy: StrategyCentral})
+	a := newNode(t, fab2, "a", Config{})
 	a.cm.Bootstrap()
-	b := newNode(t, fab2, "b", Config{Strategy: StrategyCentral})
+	b := newNode(t, fab2, "b", Config{})
 	if err := b.cm.Join("a", 5*time.Second); err != nil {
 		t.Fatal(err)
 	}
-	c := newNode(t, fab2, "c", Config{Strategy: StrategyCentral})
+	c := newNode(t, fab2, "c", Config{})
 	if err := c.cm.Join("b", 5*time.Second); err != nil {
 		t.Fatalf("join via non-bootstrap: %v", err)
 	}
@@ -165,17 +187,27 @@ func TestJoinViaNonBootstrapSite(t *testing.T) {
 }
 
 func TestConcurrentJoins(t *testing.T) {
-	for _, strat := range []Strategy{StrategyCentral, StrategyContingent, StrategyModulo} {
-		t.Run(strat.String(), func(t *testing.T) {
+	for _, via := range contacts {
+		t.Run(via.name, func(t *testing.T) {
 			fab := inproc.New(inproc.LinkProfile{})
 			t.Cleanup(fab.Close)
-			boot := newNode(t, fab, "boot", Config{Strategy: strat})
+			boot := newNode(t, fab, "boot", Config{})
 			boot.cm.Bootstrap()
+			// Relayed, every joiner signs on through the relay, so all ids
+			// are IDBlockRequests racing at the bootstrap site.
+			relay := newNode(t, fab, "relay", Config{})
+			if err := relay.cm.Join("boot", 5*time.Second); err != nil {
+				t.Fatal(err)
+			}
+			contact := "boot"
+			if via.relayed {
+				contact = "relay"
+			}
 
 			const n = 12
 			joiners := make([]*node, n)
 			for i := range joiners {
-				joiners[i] = newNode(t, fab, fmt.Sprintf("j-%d", i), Config{Strategy: strat})
+				joiners[i] = newNode(t, fab, fmt.Sprintf("j-%d", i), Config{})
 			}
 			var wg sync.WaitGroup
 			errs := make([]error, n)
@@ -183,11 +215,11 @@ func TestConcurrentJoins(t *testing.T) {
 				wg.Add(1)
 				go func(i int) {
 					defer wg.Done()
-					errs[i] = joiners[i].cm.Join("boot", 10*time.Second)
+					errs[i] = joiners[i].cm.Join(contact, 10*time.Second)
 				}(i)
 			}
 			wg.Wait()
-			seen := map[types.SiteID]bool{boot.cm.SelfID(): true}
+			seen := map[types.SiteID]bool{boot.cm.SelfID(): true, relay.cm.SelfID(): true}
 			for i, err := range errs {
 				if err != nil {
 					t.Fatalf("join %d: %v", i, err)
@@ -202,31 +234,8 @@ func TestConcurrentJoins(t *testing.T) {
 	}
 }
 
-func TestModuloIDsFollowStride(t *testing.T) {
-	fab := inproc.New(inproc.LinkProfile{})
-	t.Cleanup(fab.Close)
-	boot := newNode(t, fab, "boot", Config{Strategy: StrategyModulo})
-	boot.cm.Bootstrap()
-	a := newNode(t, fab, "a", Config{Strategy: StrategyModulo})
-	if err := a.cm.Join("boot", 5*time.Second); err != nil {
-		t.Fatal(err)
-	}
-	if got := a.cm.SelfID(); got != BootstrapID+ModuloStride {
-		t.Fatalf("first modulo id = %v, want %v", got, BootstrapID+ModuloStride)
-	}
-	// A site that joined can itself emit: join via a.
-	b := newNode(t, fab, "b", Config{Strategy: StrategyModulo})
-	if err := b.cm.Join("a", 5*time.Second); err != nil {
-		t.Fatal(err)
-	}
-	want := types.SiteID(uint64(a.cm.SelfID()) + ModuloStride)
-	if got := b.cm.SelfID(); got != want {
-		t.Fatalf("id via emitter a = %v, want %v", got, want)
-	}
-}
-
 func TestSignOffRemovesSite(t *testing.T) {
-	nodes := buildCluster(t, 3, StrategyCentral)
+	nodes := buildCluster(t, 3)
 	for _, n := range nodes {
 		n := n
 		waitFor(t, "full list", func() bool { return n.cm.Size() == 3 })
@@ -251,7 +260,7 @@ func TestSignOffRemovesSite(t *testing.T) {
 func TestOnJoinOnLeaveCallbacks(t *testing.T) {
 	fab := inproc.New(inproc.LinkProfile{})
 	t.Cleanup(fab.Close)
-	boot := newNode(t, fab, "boot", Config{Strategy: StrategyCentral})
+	boot := newNode(t, fab, "boot", Config{})
 
 	var mu sync.Mutex
 	joins := 0
@@ -261,7 +270,7 @@ func TestOnJoinOnLeaveCallbacks(t *testing.T) {
 	boot.cm.OnLeave(func(id types.SiteID, c bool) { mu.Lock(); left, crashed = id, c; mu.Unlock() })
 	boot.cm.Bootstrap()
 
-	a := newNode(t, fab, "a", Config{Strategy: StrategyCentral})
+	a := newNode(t, fab, "a", Config{})
 	if err := a.cm.Join("boot", 5*time.Second); err != nil {
 		t.Fatal(err)
 	}
@@ -276,7 +285,7 @@ func TestOnJoinOnLeaveCallbacks(t *testing.T) {
 }
 
 func TestLoadReportsUpdateList(t *testing.T) {
-	nodes := buildCluster(t, 2, StrategyCentral)
+	nodes := buildCluster(t, 2)
 	a, b := nodes[0], nodes[1]
 	waitFor(t, "b in a's list", func() bool { return a.cm.Size() == 2 })
 
@@ -289,7 +298,7 @@ func TestLoadReportsUpdateList(t *testing.T) {
 }
 
 func TestPickHelpTargetPrefersQueuedWork(t *testing.T) {
-	nodes := buildCluster(t, 4, StrategyCentral)
+	nodes := buildCluster(t, 4)
 	a := nodes[0]
 	waitFor(t, "full list", func() bool { return a.cm.Size() == 4 })
 
@@ -310,7 +319,7 @@ func TestPickHelpTargetPrefersQueuedWork(t *testing.T) {
 }
 
 func TestPickHelpTargetHonorsExclusions(t *testing.T) {
-	nodes := buildCluster(t, 3, StrategyCentral)
+	nodes := buildCluster(t, 3)
 	a := nodes[0]
 	waitFor(t, "full list", func() bool { return a.cm.Size() == 3 })
 	excl := map[types.SiteID]bool{nodes[1].cm.SelfID(): true}
@@ -331,7 +340,7 @@ func TestPickHelpTargetHonorsExclusions(t *testing.T) {
 }
 
 func TestCodeDistSites(t *testing.T) {
-	nodes := buildCluster(t, 3, StrategyCentral)
+	nodes := buildCluster(t, 3)
 	waitFor(t, "lists", func() bool { return nodes[2].cm.Size() == 3 })
 	// Bootstrap is implicitly code-dist; others learn it via the
 	// sign-on snapshot.
@@ -342,7 +351,7 @@ func TestCodeDistSites(t *testing.T) {
 }
 
 func TestPingPong(t *testing.T) {
-	nodes := buildCluster(t, 2, StrategyCentral)
+	nodes := buildCluster(t, 2)
 	a, b := nodes[0], nodes[1]
 	reply, err := a.bus.Request(b.cm.SelfID(), types.MgrCluster, types.MgrCluster,
 		&wire.Ping{Nonce: 77}, 5*time.Second)
@@ -352,13 +361,5 @@ func TestPingPong(t *testing.T) {
 	pong, ok := reply.Payload.(*wire.Pong)
 	if !ok || pong.Nonce != 77 {
 		t.Fatalf("reply = %#v", reply.Payload)
-	}
-}
-
-func TestStrategyString(t *testing.T) {
-	if StrategyCentral.String() != "central" ||
-		StrategyContingent.String() != "contingent" ||
-		StrategyModulo.String() != "modulo" {
-		t.Error("strategy names wrong")
 	}
 }

@@ -5,79 +5,28 @@ import (
 	"sync"
 	"time"
 
-	"repro/internal/msgbus"
 	"repro/internal/types"
 	"repro/internal/wire"
 )
 
-// IDAllocator produces cluster-unique logical site ids for sign-ons.
-//
-// The paper (§4, cluster manager) discusses three concepts, all of which
-// are implemented here and compared in the A-4 ablation:
-//
-//   - a central contact site that is "always asked for new ids" — simple
-//     but a single point of failure (Central);
-//   - id servers holding a contingent of free ids handed out in blocks
-//     (Contingent);
-//   - a fixed number of id servers that each emit "any multiple of their
-//     own id (like a modulo function)" — no communication at all after
-//     setup (Modulo).
-type IDAllocator interface {
-	// Next returns a fresh cluster-unique logical id. It may perform
-	// network requests (and thus block) depending on the strategy.
-	Next() (types.SiteID, error)
-	// Grant carves a block of ids out of this allocator's space for a
-	// peer (contingent replenishment). Allocators that do not own id
-	// space return an error.
-	Grant(count uint32) (first types.SiteID, err error)
-}
+// Logical site ids come from one place (paper §4, cluster manager): the
+// bootstrap site is the central contact site that is "always asked for
+// new ids". It owns a counter; a member that signs a newcomer on through
+// itself asks the bootstrap site for the id with an IDBlockRequest. The
+// paper's other two concepts — id servers holding contingents, and
+// modulo emission from each server's own id — were measured against this
+// one (EXPERIMENTS.md A-4) and are not kept.
 
-// Strategy selects an id-allocation concept.
-type Strategy uint8
-
-// Allocation strategies (paper §4).
-const (
-	// StrategyCentral asks the cluster's bootstrap site for every id.
-	StrategyCentral Strategy = iota
-	// StrategyContingent asks the bootstrap site for blocks of ids and
-	// serves sign-ons locally from the current block.
-	StrategyContingent
-	// StrategyModulo derives ids arithmetically from the local id with
-	// a fixed stride; no communication after sign-on.
-	StrategyModulo
-)
-
-func (s Strategy) String() string {
-	switch s {
-	case StrategyCentral:
-		return "central"
-	case StrategyContingent:
-		return "contingent"
-	case StrategyModulo:
-		return "modulo"
-	default:
-		return fmt.Sprintf("strategy(%d)", uint8(s))
-	}
-}
-
-// counterAllocator owns a contiguous id space starting above the ids it
-// has already handed out. The bootstrap site uses one as the root of both
-// the central and the contingent strategies.
-type counterAllocator struct {
+// idCounter is the bootstrap site's id space: every id above the ones
+// already handed out.
+type idCounter struct {
 	mu   sync.Mutex
 	next uint32
 }
 
-func newCounterAllocator(first types.SiteID) *counterAllocator {
-	return &counterAllocator{next: uint32(first)}
-}
-
-func (a *counterAllocator) Next() (types.SiteID, error) {
-	id, err := a.Grant(1)
-	return id, err
-}
-
-func (a *counterAllocator) Grant(count uint32) (types.SiteID, error) {
+// grant carves count consecutive ids off the counter and returns the
+// first.
+func (a *idCounter) grant(count uint32) (types.SiteID, error) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	first := a.next
@@ -89,25 +38,10 @@ func (a *counterAllocator) Grant(count uint32) (types.SiteID, error) {
 	return types.SiteID(first), nil
 }
 
-// remoteAllocator forwards every allocation to the id server (central
-// strategy on a non-bootstrap site).
-type remoteAllocator struct {
-	bus    *msgbus.Bus
-	server types.SiteID
-}
-
-func (a *remoteAllocator) Next() (types.SiteID, error) {
-	id, err := a.request(1)
-	return id, err
-}
-
-func (a *remoteAllocator) Grant(uint32) (types.SiteID, error) {
-	return types.InvalidSite, fmt.Errorf("cluster: central strategy: only the id server grants blocks")
-}
-
-func (a *remoteAllocator) request(count uint32) (types.SiteID, error) {
-	reply, err := a.bus.Request(a.server, types.MgrCluster, types.MgrCluster,
-		&wire.IDBlockRequest{Want: count}, 10*time.Second)
+// requestID asks the bootstrap site for one fresh id.
+func (m *Manager) requestID() (types.SiteID, error) {
+	reply, err := m.bus.Request(BootstrapID, types.MgrCluster, types.MgrCluster,
+		&wire.IDBlockRequest{Want: 1}, 10*time.Second)
 	if err != nil {
 		return types.InvalidSite, fmt.Errorf("cluster: id request: %w", err)
 	}
@@ -115,89 +49,8 @@ func (a *remoteAllocator) request(count uint32) (types.SiteID, error) {
 	if !ok {
 		return types.InvalidSite, fmt.Errorf("%w: unexpected id reply %T", types.ErrBadMessage, reply.Payload)
 	}
-	if grant.Count < count {
+	if grant.Count < 1 {
 		return types.InvalidSite, types.ErrIDExhausted
 	}
 	return grant.First, nil
-}
-
-// contingentAllocator serves ids from a locally held block, replenishing
-// from the id server when the block runs dry (paper: "if the contingent
-// is used up ... generate and distribute new id contingents").
-type contingentAllocator struct {
-	remote    remoteAllocator
-	blockSize uint32
-
-	mu    sync.Mutex
-	next  uint32
-	limit uint32 // exclusive
-}
-
-func newContingentAllocator(bus *msgbus.Bus, server types.SiteID, blockSize uint32) *contingentAllocator {
-	if blockSize == 0 {
-		blockSize = 16
-	}
-	return &contingentAllocator{
-		remote:    remoteAllocator{bus: bus, server: server},
-		blockSize: blockSize,
-	}
-}
-
-func (a *contingentAllocator) Next() (types.SiteID, error) {
-	a.mu.Lock()
-	if a.next < a.limit {
-		id := types.SiteID(a.next)
-		a.next++
-		a.mu.Unlock()
-		return id, nil
-	}
-	a.mu.Unlock()
-
-	// Replenish outside the lock; concurrent callers may fetch blocks
-	// in parallel, which only costs unused ids, never uniqueness.
-	first, err := a.remote.request(a.blockSize)
-	if err != nil {
-		return types.InvalidSite, err
-	}
-	a.mu.Lock()
-	a.next = uint32(first) + 1
-	a.limit = uint32(first) + a.blockSize
-	a.mu.Unlock()
-	return first, nil
-}
-
-func (a *contingentAllocator) Grant(uint32) (types.SiteID, error) {
-	return types.InvalidSite, fmt.Errorf("cluster: contingent strategy: only the id server grants blocks")
-}
-
-// ModuloStride is the fixed spacing of the modulo strategy: a site with
-// id s emits s + k*ModuloStride for k = 1, 2, ... Ids stay unique as long
-// as every emitting site's own id is below the stride, which holds for
-// any cluster bootstrapped below 1024 sites.
-const ModuloStride = 1024
-
-// moduloAllocator emits ids arithmetically — zero communication.
-type moduloAllocator struct {
-	mu   sync.Mutex
-	self types.SiteID
-	k    uint32
-}
-
-func newModuloAllocator(self types.SiteID) *moduloAllocator {
-	return &moduloAllocator{self: self}
-}
-
-func (a *moduloAllocator) Next() (types.SiteID, error) {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	a.k++
-	id := uint64(a.self) + uint64(a.k)*ModuloStride
-	if id >= uint64(types.Broadcast) {
-		return types.InvalidSite, types.ErrIDExhausted
-	}
-	return types.SiteID(id), nil
-}
-
-func (a *moduloAllocator) Grant(uint32) (types.SiteID, error) {
-	return types.InvalidSite, fmt.Errorf("cluster: modulo strategy has no grantable id space")
 }

@@ -66,16 +66,6 @@ type Config struct {
 	WorkUnit time.Duration
 	// CompileCost simulates on-the-fly compilation of one microthread.
 	CompileCost time.Duration
-	// IDStrategy picks the logical-id allocation concept.
-	IDStrategy cluster.Strategy
-	// LocalPolicy / HelpPolicy configure the scheduling manager
-	// (paper defaults: FIFO locally, LIFO for help replies).
-	LocalPolicy types.SchedulingClass
-	HelpPolicy  types.SchedulingClass
-	// CentralSched switches the site into the central-scheduling
-	// baseline (A-5 ablation): the cluster's bootstrap site becomes the
-	// single master queue all frames and help requests funnel through.
-	CentralSched bool
 	// Checkpoint configures crash management; zero disables it.
 	Checkpoint checkpoint.Config
 	// Gossip replaces broadcast membership and load dissemination with
@@ -85,19 +75,8 @@ type Config struct {
 	// crash probing shrinks to the heartbeat ring. Broadcast mode
 	// remains the default for small (≤4 site) clusters and tests.
 	Gossip bool
-	// GossipFanout is how many peers receive a digest per statistics
-	// tick (0 = gossip default).
-	GossipFanout int
 	// LoadReportEvery is the site manager's statistics period.
 	LoadReportEvery time.Duration
-	// NoReadReplication disables COMA read replication (A-6 ablation).
-	NoReadReplication bool
-	// HelpBatch caps how many frames one help reply may grant (0 =
-	// scheduler default; 1 restores single-frame grants).
-	HelpBatch int
-	// NoCriticalPinning disables the critical-path scheduling hints
-	// (A-7 ablation).
-	NoCriticalPinning bool
 	// RestartGrace is the submitter-side last-resort recovery: if a
 	// crash was declared and a locally submitted program has not
 	// terminated this long afterwards, its entry frame is re-fired.
@@ -171,7 +150,7 @@ func (r *busResolver) SiteIDs() []types.SiteID                  { return r.cm.Si
 
 // siteSeed derives the per-site RNG seed for retry jitter (memory
 // fetches, help-request polls). An explicit cfg.Seed wins so chaos and
-// ablation runs are reproducible; otherwise the listen address is hashed
+// benchmark runs are reproducible; otherwise the listen address is hashed
 // so distinct sites never share a jitter stream by accident.
 func siteSeed(cfg Config) int64 {
 	if cfg.Seed != 0 {
@@ -221,7 +200,6 @@ func New(cfg Config) *Daemon {
 		PhysAddr: cfg.PhysAddr,
 		Platform: cfg.Platform,
 		Speed:    cfg.Speed,
-		Strategy: cfg.IDStrategy,
 		Reliable: cfg.Reliable,
 		Seed:     cfg.Seed,
 	})
@@ -235,22 +213,9 @@ func New(cfg Config) *Daemon {
 	})
 	d.Code.SetCodeHomeFn(d.PM.CodeHome)
 
-	schedCfg := sched.Config{
-		LocalPolicy:       cfg.LocalPolicy,
-		HelpPolicy:        cfg.HelpPolicy,
-		NoCriticalPinning: cfg.NoCriticalPinning,
-		HelpBatch:         cfg.HelpBatch,
-		Seed:              siteSeed(cfg),
-	}
-	if cfg.CentralSched {
-		schedCfg.CentralSite = cluster.BootstrapID
-	}
-	d.Sched = sched.New(d.Bus, d.CM, d.Code, schedCfg)
+	d.Sched = sched.New(d.Bus, d.CM, d.Code, sched.Config{Seed: siteSeed(cfg)})
 	d.Mem = memory.New(d.Bus, d.Sched.Enqueue)
 	d.Mem.SetSeed(siteSeed(cfg))
-	if cfg.NoReadReplication {
-		d.Mem.SetReadReplication(false)
-	}
 	d.Sched.SetAdopter(d.Mem)
 	d.Sched.SetProgramHooks(d.PM.Known, d.PM.EnsureKnown)
 
@@ -350,8 +315,7 @@ func (d *Daemon) enableGossip() {
 	// The seed is decorrelated from the scheduler's so the two random
 	// streams never walk in lockstep.
 	d.Gossip = gossip.New(d.Bus, d.CM, gossip.Config{
-		Fanout: d.cfg.GossipFanout,
-		Seed:   siteSeed(d.cfg) ^ 0x676f7373, // "goss"
+		Seed: siteSeed(d.cfg) ^ 0x676f7373, // "goss"
 	})
 	d.CM.SetGossipMode(true)
 	d.CM.OnJoin(d.Gossip.AddSite)

@@ -461,47 +461,6 @@ func TestProgramGCAfterTermination(t *testing.T) {
 	t.Fatal("program state not garbage-collected")
 }
 
-func TestCentralModeStillComputes(t *testing.T) {
-	// A-5 baseline sanity: central scheduling completes correctly.
-	_, ds := testCluster(t, 3, func(i int, cfg *daemon.Config) {
-		cfg.LocalPolicy = types.SchedFIFO
-	})
-	// Reconfigure is construction-time; rebuild with central site 1.
-	// (testCluster already built normal daemons; build a fresh cluster.)
-	_ = ds
-	fab2 := inproc.New(inproc.LinkProfile{})
-	t.Cleanup(fab2.Close)
-	central := make([]*daemon.Daemon, 3)
-	for i := 0; i < 3; i++ {
-		cfg := daemon.Config{
-			PhysAddr:  fmt.Sprintf("c-%d", i),
-			Network:   fab2,
-			WorkModel: exec.WorkSimulated,
-			WorkUnit:  time.Millisecond,
-			Seed:      int64(i + 1),
-		}
-		cfg.CentralSched = true
-		central[i] = daemon.New(cfg)
-		if i == 0 {
-			if err := central[0].Bootstrap(); err != nil {
-				t.Fatal(err)
-			}
-		} else if err := central[i].Join("c-0"); err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(central[i].Kill)
-	}
-	prog, err := central[0].Submit(workloads.PrimesApp(), workloads.PrimesArgs(30, 10, 2)...)
-	if err != nil {
-		t.Fatal(err)
-	}
-	raw, ok := central[0].WaitResult(prog, 90*time.Second)
-	if !ok {
-		t.Fatal("central-mode cluster did not terminate")
-	}
-	checkPrimesResult(t, raw, 30)
-}
-
 func TestStatusReflectsActivity(t *testing.T) {
 	_, ds := testCluster(t, 1, nil)
 	prog, err := ds[0].Submit(workloads.PrimesApp(), workloads.PrimesArgs(10, 5, 1)...)

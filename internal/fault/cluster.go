@@ -27,9 +27,6 @@ type ClusterConfig struct {
 	// WorkUnit is the wall-clock span of one simulated Work unit
 	// (default 200µs).
 	WorkUnit time.Duration
-	// Batched enables wide help grants on every site (see
-	// Scenario.Batched).
-	Batched bool
 	// Gossip runs the cluster on the epidemic membership layer
 	// (internal/gossip): bounded digests instead of broadcast load
 	// reports and goodbyes, p2c help targeting, ring heartbeats. This
@@ -111,11 +108,8 @@ func (c *Cluster) startSite(index, gen int) (*Site, error) {
 		Metrics:       true,
 		TraceCapacity: 65536,
 		Seed:          c.cfg.Seed*1000 + int64(index) + 1,
+		Gossip:        c.cfg.Gossip,
 	}
-	if c.cfg.Batched {
-		cfg.HelpBatch = 8
-	}
-	cfg.Gossip = c.cfg.Gossip
 	if c.cfg.Checkpoint {
 		cfg.Checkpoint.Interval = 150 * time.Millisecond
 		cfg.Checkpoint.HeartbeatEvery = 100 * time.Millisecond

@@ -70,10 +70,6 @@ type Scenario struct {
 	// Checkpoint enables the crash-management stack.
 	Checkpoint bool `json:"checkpoint"`
 
-	// Batched runs the cluster with multi-frame help grants (HelpBatch
-	// 8): batched grants must survive crashes via the grant log.
-	Batched bool `json:"batched,omitempty"`
-
 	// Gossip runs the cluster on the epidemic membership layer: load,
 	// joins, goodbyes and crash tombstones disseminate in bounded
 	// digests instead of broadcasts, which is what lets the churn
@@ -141,7 +137,6 @@ func Scenarios() []Scenario {
 				BytesPerSecond: 4 << 20,
 			},
 			Sites: 4, Primes: 40, Width: 8, Cost: 5,
-			Batched:  true,
 			Deadline: 30 * time.Second,
 		},
 		{
@@ -223,7 +218,6 @@ func Scenarios() []Scenario {
 			Desc:  "leaves, crashes, stalls and rejoins overlap at gossip scale — the paper's adaptive-cluster claim under concurrent churn",
 			Sites: 64, Primes: 60, Width: 8, Cost: 20,
 			Checkpoint: true,
-			Batched:    true,
 			Gossip:     true,
 			Steps: []Step{
 				{At: ms(250), Kind: StepLeave, Site: 4},
@@ -287,7 +281,6 @@ func Run(sc Scenario, seed int64) (*Report, error) {
 		Seed:       seed,
 		Link:       sc.Link,
 		Checkpoint: sc.Checkpoint,
-		Batched:    sc.Batched,
 		Gossip:     sc.Gossip,
 	})
 	if err != nil {

@@ -175,9 +175,6 @@ type Manager struct {
 	// shards partitions all address-keyed state; see memShard.
 	shards [shardCount]memShard
 
-	// cacheEnabled allows the A-6 ablation to disable replication.
-	cacheEnabled atomic.Bool
-
 	logMu sync.Mutex
 	// Sender-side logs for crash recovery ([4]): paramLog keeps every
 	// parameter sent to a remote frame, grantLog every frame handed to
@@ -347,7 +344,6 @@ func New(bus *msgbus.Bus, fire FireFunc) *Manager {
 	for i := range m.shards {
 		m.shards[i].init()
 	}
-	m.cacheEnabled.Store(true)
 	m.traffic = func(types.ProgramID, int) {}
 	bus.Register(types.MgrMemory, m)
 	return m
@@ -387,20 +383,6 @@ func (m *Manager) pause(d time.Duration) bool {
 		return false
 	case <-t.C:
 		return true
-	}
-}
-
-// SetReadReplication toggles COMA read replication (default on); the
-// A-6 ablation measures its effect.
-func (m *Manager) SetReadReplication(enabled bool) {
-	m.cacheEnabled.Store(enabled)
-	if !enabled {
-		for i := range m.shards {
-			s := &m.shards[i]
-			m.lockShard(s)
-			s.readCache = make(map[types.GlobalAddr]replica)
-			s.mu.Unlock()
-		}
 	}
 }
 
@@ -715,7 +697,7 @@ func (m *Manager) Read(addr types.GlobalAddr) ([]byte, error) {
 			m.met.replicaHits.Inc()
 			return out, nil
 		}
-		if st, inflight := s.fetching[addr]; inflight && m.cacheEnabled.Load() {
+		if st, inflight := s.fetching[addr]; inflight {
 			// Another microthread is already fetching this object;
 			// share its result instead of stampeding the owner.
 			s.mu.Unlock()
@@ -728,21 +710,9 @@ func (m *Manager) Read(addr types.GlobalAddr) ([]byte, error) {
 		m.counts.remoteReads.Add(1)
 		m.met.remoteReads.Inc()
 
-		if !m.cacheEnabled.Load() {
-			// Replication ablated (A-6): plain uncached owner read.
-			o, err := m.fetch(addr, false)
-			m.lockShard(s)
-			delete(s.fetching, addr)
-			close(st.done)
-			s.mu.Unlock()
-			if err != nil {
-				return nil, err
-			}
-			return o.Data, nil
-		}
 		rep, err := m.fetchReplica(addr)
 		m.lockShard(s)
-		if err == nil && m.cacheEnabled.Load() && !st.poisoned {
+		if err == nil && !st.poisoned {
 			s.readCache[addr] = rep
 		}
 		delete(s.fetching, addr)
@@ -825,7 +795,7 @@ func (m *Manager) Attract(addr types.GlobalAddr) ([]byte, error) {
 	}
 	s.mu.Unlock()
 
-	o, err := m.fetch(addr, true)
+	o, err := m.fetch(addr)
 	if err != nil {
 		return nil, err
 	}
@@ -852,14 +822,15 @@ func (m *Manager) Attract(addr types.GlobalAddr) ([]byte, error) {
 	return data, nil
 }
 
-// fetch resolves addr through the homesite directory and retrieves the
-// object, following redirects. Ownership can move mid-chase (directory
-// updates are asynchronous), so an exhausted redirect chain is retried
-// after a short pause rather than failed outright.
-func (m *Manager) fetch(addr types.GlobalAddr, migrate bool) (*wire.MemObject, error) {
+// fetch resolves addr through the homesite directory and takes the
+// object over from its owner, following redirects. Ownership can move
+// mid-chase (directory updates are asynchronous), so an exhausted
+// redirect chain is retried after a short pause rather than failed
+// outright.
+func (m *Manager) fetch(addr types.GlobalAddr) (*wire.MemObject, error) {
 	var lastErr error
 	for round := 0; round < 5; round++ {
-		o, retry, err := m.fetchOnce(addr, migrate)
+		o, retry, err := m.fetchOnce(addr)
 		if err == nil {
 			return o, nil
 		}
@@ -877,7 +848,7 @@ func (m *Manager) fetch(addr types.GlobalAddr, migrate bool) (*wire.MemObject, e
 
 // fetchOnce runs one redirect chase. retry reports whether the failure
 // is plausibly transient (in-flight migration).
-func (m *Manager) fetchOnce(addr types.GlobalAddr, migrate bool) (obj *wire.MemObject, retry bool, err error) {
+func (m *Manager) fetchOnce(addr types.GlobalAddr) (obj *wire.MemObject, retry bool, err error) {
 	s := m.shardFor(addr)
 	m.lockShard(s)
 	dst := m.routeObjectLocked(s, addr)
@@ -888,7 +859,7 @@ func (m *Manager) fetchOnce(addr types.GlobalAddr, migrate bool) (obj *wire.MemO
 
 	for hop := 0; hop < maxRedirects; hop++ {
 		reply, err := m.bus.Request(dst, types.MgrMemory, types.MgrMemory,
-			&wire.MemRead{Addr: addr, Migrate: migrate}, 0)
+			&wire.MemRead{Addr: addr, Migrate: true}, 0)
 		if err != nil {
 			return nil, true, err
 		}
@@ -1687,7 +1658,7 @@ func (m *Manager) handleMemRead(msg *wire.Message, p *wire.MemRead) {
 			m.counts.migrations.Add(1)
 			m.met.migrations.Inc()
 		} else {
-			if m.cacheEnabled.Load() && msg.Src.Valid() && msg.Src != m.bus.Self() {
+			if msg.Src.Valid() && msg.Src != m.bus.Self() {
 				cs, ok := s.copies[p.Addr]
 				if !ok {
 					cs = make(map[types.SiteID]bool)

@@ -520,24 +520,64 @@ func TestReadReplicationRemoteWriterInvalidates(t *testing.T) {
 	}
 }
 
-func TestReadReplicationDisabled(t *testing.T) {
-	_, mems, _ := memCluster(t, 2)
-	owner, reader := mems[0], mems[1]
-	reader.SetReadReplication(false)
+// TestReadHotServedFromReplicas pins what read replication buys on a
+// read-hot working set: two remote readers sweep K objects R times while
+// the owner writes a few of them every third sweep. After a reader's
+// first fault-in of an object every read is served from its replica
+// until an invalidation drops it, so its remote fetches stay within K
+// plus one re-fault per counted invalidation, however many sweeps run.
+// Writes happen between sweeps, so no invalidation can poison a fetch in
+// flight (which would cost a re-fault the counter does not see).
+func TestReadHotServedFromReplicas(t *testing.T) {
+	const k, rounds = 16, 12
+	_, mems, _ := memCluster(t, 3)
+	owner, readers := mems[0], mems[1:]
+	addrs := make([]types.GlobalAddr, k)
+	for i := range addrs {
+		addrs[i] = owner.Alloc(prog(), []byte{byte(i)})
+	}
 
-	addr := owner.Alloc(prog(), []byte("x"))
-	if _, err := reader.Read(addr); err != nil {
-		t.Fatal(err)
+	for r := 0; r < rounds; r++ {
+		var wg sync.WaitGroup
+		errs := make(chan error, len(readers))
+		for _, rd := range readers {
+			wg.Add(1)
+			go func(rd *Manager) {
+				defer wg.Done()
+				for _, a := range addrs {
+					if _, err := rd.Read(a); err != nil {
+						errs <- err
+						return
+					}
+				}
+			}(rd)
+		}
+		wg.Wait()
+		close(errs)
+		for err := range errs {
+			t.Fatal(err)
+		}
+		if r%3 == 2 {
+			for j := r % 5; j < k; j += 5 {
+				if err := owner.Write(addrs[j], 0, []byte{byte(r)}); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
 	}
-	if _, err := reader.Read(addr); err != nil {
-		t.Fatal(err)
-	}
-	s := reader.Stats()
-	if s.CacheHits != 0 {
-		t.Fatal("cache hit although replication disabled")
-	}
-	if s.RemoteReads != 2 {
-		t.Fatalf("RemoteReads = %d, want 2", s.RemoteReads)
+
+	for i, rd := range readers {
+		st := rd.Stats()
+		if st.ReplicaHits == 0 {
+			t.Fatalf("reader %d: no read was served from a replica", i)
+		}
+		if st.Invalidates == 0 {
+			t.Fatalf("reader %d: the owner's writes invalidated nothing", i)
+		}
+		if bound := k + st.Invalidates; st.RemoteReads > bound {
+			t.Fatalf("reader %d: %d remote reads, want at most %d (%d objects + %d invalidations)",
+				i, st.RemoteReads, bound, k, st.Invalidates)
+		}
 	}
 }
 

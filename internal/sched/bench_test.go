@@ -13,19 +13,15 @@ import (
 // BenchmarkQueue measures one push plus one pop against a standing
 // backlog. The cost must not depend on the depth, and the steady state
 // must not allocate (gated in bench.allocs.json). Frames cycle through
-// three priorities so the priority and surrender picks have buckets to
-// choose between.
+// three priorities so both picks have buckets to choose between.
 func BenchmarkQueue(b *testing.B) {
 	type fq = queue[*wire.Microframe]
 	pops := []struct {
-		name   string
-		pop    func(*fq, types.SchedulingClass) (*wire.Microframe, time.Time, bool)
-		policy types.SchedulingClass
+		name string
+		pop  func(*fq) (*wire.Microframe, time.Time, bool)
 	}{
-		{"fifo", (*fq).pop, types.SchedFIFO},
-		{"lifo", (*fq).pop, types.SchedLIFO},
-		{"priority", (*fq).pop, types.SchedPriority},
-		{"surrender", (*fq).popSurrender, types.SchedLIFO},
+		{"fifo", (*fq).pop},
+		{"surrender", (*fq).popSurrender},
 	}
 	prios := [...]types.Priority{types.PriorityLow, types.PriorityNormal, types.PriorityHigh}
 	frames := make([]*wire.Microframe, len(prios))
@@ -45,7 +41,7 @@ func BenchmarkQueue(b *testing.B) {
 				for i := 0; i < b.N; i++ {
 					f := frames[i%len(frames)]
 					q.push(f, f.Prio, time.Time{})
-					if _, _, ok := p.pop(&q, p.policy); !ok {
+					if _, _, ok := p.pop(&q); !ok {
 						b.Fatal("pop from a non-empty queue failed")
 					}
 				}

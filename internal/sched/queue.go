@@ -12,11 +12,12 @@ import (
 // programs use a handful of priorities, so every operation below costs
 // O(#priorities), independent of the backlog. Each entry carries a
 // queue-wide arrival sequence number: within a bucket entries sit in
-// arrival order, and comparing bucket fronts (or backs) by seq recovers
-// the exact global oldest (or newest) across buckets — the same answer a
-// scan of one arrival-ordered slice would give. The policy is applied at
-// pop time so one queue can serve local FIFO dispatch and LIFO help
-// replies simultaneously, as the paper prescribes.
+// arrival order, and comparing bucket fronts by seq recovers the exact
+// global oldest across buckets — the same answer a scan of one
+// arrival-ordered slice would give. One queue serves two disciplines:
+// pop is local dispatch (critical frames first, then FIFO), popSurrender
+// picks the frame a help reply gives away (oldest of the lowest
+// priority, never a critical one).
 //
 // The zero value is an empty queue that owns no memory. It is not safe
 // for concurrent use; the Manager's mutex guards it.
@@ -58,8 +59,6 @@ func (b *bucket[T]) at(i int) *entry[T] { return &b.buf[(b.head+i)&(len(b.buf)-1
 
 func (b *bucket[T]) front() *entry[T] { return &b.buf[b.head] }
 
-func (b *bucket[T]) back() *entry[T] { return b.at(b.n - 1) }
-
 func (b *bucket[T]) grow() {
 	size := 2 * len(b.buf)
 	if size < ringMin {
@@ -76,19 +75,15 @@ func (b *bucket[T]) pushBack(e entry[T]) {
 	if b.n == len(b.buf) {
 		b.grow()
 	}
+	*b.at(b.n) = e
 	b.n++
-	*b.back() = e
 }
 
-// take removes the front (or back) entry. The vacated slot is zeroed so
-// the ring does not keep the frame alive.
-func (b *bucket[T]) take(fromBack bool) entry[T] {
+// take removes the front entry. The vacated slot is zeroed so the ring
+// does not keep the frame alive.
+func (b *bucket[T]) take() entry[T] {
 	slot := b.front()
-	if fromBack {
-		slot = b.back()
-	} else {
-		b.head = (b.head + 1) & (len(b.buf) - 1)
-	}
+	b.head = (b.head + 1) & (len(b.buf) - 1)
 	e := *slot
 	*slot = entry[T]{}
 	b.n--
@@ -148,53 +143,39 @@ func (q *queue[T]) push(item T, prio types.Priority, at time.Time) {
 	q.bucketFor(prio).pushBack(entry[T]{seq: q.seq, at: at, item: item})
 }
 
-// pop removes one item per the given discipline; ok is false when empty.
-// Critical-path frames (paper §3.3 scheduling hints) always dispatch
-// first, oldest first, whatever the policy; with no critical frame queued
-// the policy applies unchanged: FIFO takes the oldest entry, LIFO the
-// newest, SchedPriority the oldest entry of the highest priority.
+// pop removes the item local dispatch runs next; ok is false when empty.
+// Critical-path frames (paper §3.3 scheduling hints) dispatch first,
+// oldest first; with no critical frame queued the oldest entry of any
+// priority goes (FIFO, "to avoid starving of microframes").
 //
 //sdvm:hotpath
-func (q *queue[T]) pop(policy types.SchedulingClass) (item T, at time.Time, ok bool) {
+func (q *queue[T]) pop() (item T, at time.Time, ok bool) {
 	var pick *bucket[T]
-	for i := len(q.buckets) - 1; i >= 0 && q.buckets[i].prio >= types.PriorityCritical; i-- {
-		if b := &q.buckets[i]; b.n > 0 && (pick == nil || b.front().seq < pick.front().seq) {
-			pick = b
-		}
-	}
-	if pick != nil {
-		return q.takeFrom(pick, false)
-	}
-	fromBack := policy == types.SchedLIFO
 	for i := len(q.buckets) - 1; i >= 0; i-- {
 		b := &q.buckets[i]
-		switch {
-		case b.n == 0:
+		if b.n == 0 {
 			continue
-		case pick == nil:
-			pick = b
-		case fromBack && b.back().seq > pick.back().seq,
-			!fromBack && b.front().seq < pick.front().seq:
-			pick = b
 		}
-		if policy == types.SchedPriority {
-			break // the scan descends: this is the top bucket in use
+		if pick != nil && pick.prio >= types.PriorityCritical && b.prio < types.PriorityCritical {
+			break // the scan descends: every critical bucket has been seen
+		}
+		if pick == nil || b.front().seq < pick.front().seq {
+			pick = b
 		}
 	}
 	if pick == nil {
 		return item, at, false
 	}
-	return q.takeFrom(pick, fromBack)
+	return q.takeFrom(pick)
 }
 
 // popSurrender removes the item best suited to give away to a peer: the
-// *lowest*-priority one (the newest of them under LIFO, else the oldest),
-// and never a critical-path frame — shipping the frame that unfolds the
-// next stage of the program detaches every peer's knowledge of where work
-// spawns.
+// oldest of the *lowest*-priority ones, and never a critical-path frame —
+// shipping the frame that unfolds the next stage of the program detaches
+// every peer's knowledge of where work spawns.
 //
 //sdvm:hotpath
-func (q *queue[T]) popSurrender(policy types.SchedulingClass) (item T, at time.Time, ok bool) {
+func (q *queue[T]) popSurrender() (item T, at time.Time, ok bool) {
 	for i := range q.buckets {
 		b := &q.buckets[i]
 		if b.n == 0 {
@@ -203,13 +184,13 @@ func (q *queue[T]) popSurrender(policy types.SchedulingClass) (item T, at time.T
 		if b.prio >= types.PriorityCritical {
 			break
 		}
-		return q.takeFrom(b, policy == types.SchedLIFO)
+		return q.takeFrom(b)
 	}
 	return item, at, false
 }
 
-func (q *queue[T]) takeFrom(b *bucket[T], fromBack bool) (T, time.Time, bool) {
-	e := b.take(fromBack)
+func (q *queue[T]) takeFrom(b *bucket[T]) (T, time.Time, bool) {
+	e := b.take()
 	q.n--
 	return e.item, e.at, true
 }

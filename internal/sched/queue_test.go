@@ -20,17 +20,17 @@ type frameQ struct {
 
 func newFrameQueue() *frameQ { return &frameQ{} }
 
-func (q *frameQ) push(f *wire.Microframe, _ types.SchedulingClass) {
+func (q *frameQ) push(f *wire.Microframe) {
 	q.queue.push(f, f.Prio, time.Time{})
 }
 
-func (q *frameQ) pop(policy types.SchedulingClass) *wire.Microframe {
-	f, _, _ := q.queue.pop(policy)
+func (q *frameQ) pop() *wire.Microframe {
+	f, _, _ := q.queue.pop()
 	return f
 }
 
-func (q *frameQ) popSurrender(policy types.SchedulingClass) *wire.Microframe {
-	f, _, _ := q.queue.popSurrender(policy)
+func (q *frameQ) popSurrender() *wire.Microframe {
+	f, _, _ := q.queue.popSurrender()
 	return f
 }
 
@@ -49,55 +49,49 @@ func qframe(local uint64, prio types.Priority) *wire.Microframe {
 func TestQueueFIFO(t *testing.T) {
 	q := newFrameQueue()
 	for i := uint64(1); i <= 5; i++ {
-		q.push(qframe(i, types.PriorityNormal), types.SchedFIFO)
+		q.push(qframe(i, types.PriorityNormal))
 	}
 	for i := uint64(1); i <= 5; i++ {
-		if got := q.pop(types.SchedFIFO); got.ID.Local != i {
+		if got := q.pop(); got.ID.Local != i {
 			t.Fatalf("FIFO pop = %v, want %d", got.ID, i)
 		}
 	}
-	if q.pop(types.SchedFIFO) != nil {
+	if q.pop() != nil {
 		t.Fatal("pop from empty queue")
 	}
 }
 
-func TestQueueLIFO(t *testing.T) {
+// TestQueueCriticalJumpsAhead pins the §3.3 hint on local dispatch: a
+// critical frame runs before older ones, and below it the oldest frame
+// goes whatever its priority.
+func TestQueueCriticalJumpsAhead(t *testing.T) {
 	q := newFrameQueue()
-	for i := uint64(1); i <= 5; i++ {
-		q.push(qframe(i, types.PriorityNormal), types.SchedLIFO)
-	}
-	for i := uint64(5); i >= 1; i-- {
-		if got := q.pop(types.SchedLIFO); got.ID.Local != i {
-			t.Fatalf("LIFO pop = %v, want %d", got.ID, i)
-		}
-	}
-}
-
-func TestQueueCriticalJumpsAnyPolicy(t *testing.T) {
-	for _, policy := range []types.SchedulingClass{types.SchedFIFO, types.SchedLIFO, types.SchedPriority} {
-		q := newFrameQueue()
-		q.push(qframe(1, types.PriorityNormal), policy)
-		q.push(qframe(2, types.PriorityCritical), policy)
-		q.push(qframe(3, types.PriorityHigh), policy)
-		if got := q.pop(policy); got.ID.Local != 2 {
-			t.Fatalf("policy %v: critical frame not dispatched first (got %v)", policy, got.ID)
+	q.push(qframe(1, types.PriorityNormal))
+	q.push(qframe(2, types.PriorityCritical))
+	q.push(qframe(3, types.PriorityHigh))
+	for _, want := range []uint64{2, 1, 3} {
+		if got := q.pop(); got.ID.Local != want {
+			t.Fatalf("pop = %v, want local %d", got.ID, want)
 		}
 	}
 }
 
 func TestQueueSurrenderNeverGivesCritical(t *testing.T) {
 	q := newFrameQueue()
-	q.push(qframe(1, types.PriorityCritical), types.SchedLIFO)
-	if got := q.popSurrender(types.SchedLIFO); got != nil {
+	q.push(qframe(1, types.PriorityCritical))
+	if got := q.popSurrender(); got != nil {
 		t.Fatalf("surrendered a critical frame: %v", got.ID)
 	}
-	q.push(qframe(2, types.PriorityLow), types.SchedLIFO)
-	q.push(qframe(3, types.PriorityNormal), types.SchedLIFO)
-	got := q.popSurrender(types.SchedLIFO)
-	if got == nil || got.ID.Local != 2 {
-		t.Fatalf("surrender must pick the lowest-priority frame, got %v", got)
+	q.push(qframe(2, types.PriorityLow))
+	q.push(qframe(3, types.PriorityNormal))
+	q.push(qframe(4, types.PriorityLow))
+	for _, want := range []uint64{2, 4, 3} {
+		got := q.popSurrender()
+		if got == nil || got.ID.Local != want {
+			t.Fatalf("surrender must pick the oldest lowest-priority frame (local %d), got %v", want, got)
+		}
 	}
-	if q.len() != 2 {
+	if q.len() != 1 {
 		t.Fatalf("queue len = %d", q.len())
 	}
 }
@@ -105,10 +99,10 @@ func TestQueueSurrenderNeverGivesCritical(t *testing.T) {
 func TestQueueDropProgram(t *testing.T) {
 	q := newFrameQueue()
 	p2 := types.MakeProgramID(2, 2)
-	q.push(qframe(1, 0), types.SchedFIFO)
+	q.push(qframe(1, 0))
 	other := wire.NewMicroframe(types.GlobalAddr{Home: 1, Local: 9},
 		types.ThreadID{Program: p2, Index: 0}, 0)
-	q.push(other, types.SchedFIFO)
+	q.push(other)
 	q.dropProgram(types.MakeProgramID(1, 1))
 	if q.len() != 1 || q.all()[0].Thread.Program != p2 {
 		t.Fatalf("dropProgram kept wrong frames: %v", q.all())
@@ -116,7 +110,7 @@ func TestQueueDropProgram(t *testing.T) {
 }
 
 // TestQueueConservation property-checks that any sequence of pushes and
-// policy pops conserves frames: nothing is lost, nothing duplicated.
+// pops conserves frames: nothing is lost, nothing duplicated.
 func TestQueueConservation(t *testing.T) {
 	f := func(ops []uint8) bool {
 		q := newFrameQueue()
@@ -127,18 +121,18 @@ func TestQueueConservation(t *testing.T) {
 			switch op % 4 {
 			case 0, 1: // push with a pseudo-random priority
 				prio := types.Priority(int16(op) - 60)
-				q.push(qframe(next, prio), types.SchedFIFO)
+				q.push(qframe(next, prio))
 				pushed[next] = true
 				next++
-			case 2: // policy pop
-				if fr := q.pop(types.SchedulingClass(op % 3)); fr != nil {
+			case 2: // dispatch pop
+				if fr := q.pop(); fr != nil {
 					if popped[fr.ID.Local] {
 						return false // duplicate
 					}
 					popped[fr.ID.Local] = true
 				}
 			case 3: // surrender pop
-				if fr := q.popSurrender(types.SchedLIFO); fr != nil {
+				if fr := q.popSurrender(); fr != nil {
 					if popped[fr.ID.Local] {
 						return false
 					}
@@ -148,7 +142,7 @@ func TestQueueConservation(t *testing.T) {
 		}
 		// drain the rest
 		for {
-			fr := q.pop(types.SchedFIFO)
+			fr := q.pop()
 			if fr == nil {
 				break
 			}
@@ -173,63 +167,53 @@ func TestQueueConservation(t *testing.T) {
 }
 
 // refQueue is the slice queue the scheduler used before the bucketed
-// ring deque, kept verbatim as the reference model: one arrival-ordered
-// slice, every pop a linear scan. Its answers define the ordering
-// semantics the production queue must reproduce exactly.
+// ring deque, kept as the reference model for the two disciplines that
+// remain: one arrival-ordered slice, every pop a linear scan. Its answers
+// define the ordering semantics the production queue must reproduce
+// exactly.
 type refQueue struct {
 	frames []*wire.Microframe
 }
 
 func (q *refQueue) len() int { return len(q.frames) }
 
-func (q *refQueue) push(f *wire.Microframe, _ types.SchedulingClass) {
+func (q *refQueue) push(f *wire.Microframe) {
 	q.frames = append(q.frames, f)
 }
 
-func (q *refQueue) pop(policy types.SchedulingClass) *wire.Microframe {
-	n := len(q.frames)
-	if n == 0 {
+func (q *refQueue) pop() *wire.Microframe {
+	if len(q.frames) == 0 {
 		return nil
 	}
-	idx := -1
+	idx := 0
 	for i, f := range q.frames {
 		if f.Prio >= types.PriorityCritical {
 			idx = i
 			break
 		}
 	}
-	if idx < 0 {
-		idx = pickIndex(n, policy, func(i int) types.Priority { return q.frames[i].Prio })
-	}
-	f := q.frames[idx]
-	q.frames = append(q.frames[:idx], q.frames[idx+1:]...)
-	return f
+	return q.take(idx)
 }
 
-func (q *refQueue) popSurrender(policy types.SchedulingClass) *wire.Microframe {
-	n := len(q.frames)
-	if n == 0 {
+func (q *refQueue) popSurrender() *wire.Microframe {
+	if len(q.frames) == 0 {
 		return nil
 	}
-	lowest := q.frames[0].Prio
-	for _, f := range q.frames[1:] {
-		if f.Prio < lowest {
-			lowest = f.Prio
-		}
-	}
-	if lowest >= types.PriorityCritical {
-		return nil
-	}
-	// Pick among the lowest-priority frames by policy order.
-	var idxs []int
+	pick := 0
 	for i, f := range q.frames {
-		if f.Prio == lowest {
-			idxs = append(idxs, i)
+		if f.Prio < q.frames[pick].Prio {
+			pick = i
 		}
 	}
-	pick := idxs[pickIndex(len(idxs), policy, func(int) types.Priority { return 0 })]
-	f := q.frames[pick]
-	q.frames = append(q.frames[:pick], q.frames[pick+1:]...)
+	if q.frames[pick].Prio >= types.PriorityCritical {
+		return nil
+	}
+	return q.take(pick)
+}
+
+func (q *refQueue) take(i int) *wire.Microframe {
+	f := q.frames[i]
+	q.frames = append(q.frames[:i], q.frames[i+1:]...)
 	return f
 }
 
@@ -249,26 +233,6 @@ func (q *refQueue) dropProgram(prog types.ProgramID) {
 		}
 	}
 	q.frames = kept
-}
-
-// pickIndex chooses the element index a policy selects from a queue of
-// length n whose elements arrived in index order. prio exposes element
-// priorities for SchedPriority (ties break FIFO).
-func pickIndex(n int, policy types.SchedulingClass, prio func(i int) types.Priority) int {
-	switch policy {
-	case types.SchedLIFO:
-		return n - 1
-	case types.SchedPriority:
-		best := 0
-		for i := 1; i < n; i++ {
-			if prio(i) > prio(best) {
-				best = i
-			}
-		}
-		return best
-	default: // SchedFIFO
-		return 0
-	}
 }
 
 func sameFrames(a, b []*wire.Microframe) bool {
@@ -293,7 +257,6 @@ func TestQueueMatchesSliceModel(t *testing.T) {
 	prios := []types.Priority{types.PriorityLow, types.PriorityNormal, types.PriorityHigh,
 		types.PriorityCritical, types.PriorityCritical + 1}
 	progs := []types.ProgramID{types.MakeProgramID(1, 1), types.MakeProgramID(1, 2), types.MakeProgramID(2, 1)}
-	policies := []types.SchedulingClass{types.SchedFIFO, types.SchedLIFO, types.SchedPriority}
 
 	for seed := int64(1); seed <= 240; seed++ {
 		rng := rand.New(rand.NewSource(seed))
@@ -315,7 +278,6 @@ func TestQueueMatchesSliceModel(t *testing.T) {
 			}
 		}
 		for step := 0; step < 400; step++ {
-			policy := policies[rng.Intn(len(policies))]
 			switch r := rng.Intn(100); {
 			case r < pushWeight:
 				next++
@@ -324,13 +286,13 @@ func TestQueueMatchesSliceModel(t *testing.T) {
 				f.Prio = usable[rng.Intn(len(usable))]
 				stamps[f] = time.Unix(0, int64(next))
 				q.push(f, f.Prio, stamps[f])
-				ref.push(f, policy)
+				ref.push(f)
 			case r < pushWeight+(100-pushWeight)*6/10:
-				got, at, _ := q.pop(policy)
-				check(step, "pop/"+policy.String(), got, at, ref.pop(policy))
+				got, at, _ := q.pop()
+				check(step, "pop", got, at, ref.pop())
 			case r < 96:
-				got, at, _ := q.popSurrender(policy)
-				check(step, "popSurrender/"+policy.String(), got, at, ref.popSurrender(policy))
+				got, at, _ := q.popSurrender()
+				check(step, "popSurrender", got, at, ref.popSurrender())
 			case r < 98:
 				prog := progs[rng.Intn(len(progs))]
 				q.remove(func(f *wire.Microframe) bool { return f.Thread.Program == prog })
@@ -392,25 +354,21 @@ func TestQueueRetainsNoPoppedFrame(t *testing.T) {
 	}
 	type fq = queue[*wire.Microframe]
 	takers := []struct {
-		name   string
-		take   func(*fq, types.SchedulingClass) (*wire.Microframe, time.Time, bool)
-		policy types.SchedulingClass
+		name string
+		take func(*fq) (*wire.Microframe, time.Time, bool)
 	}{
-		{"pop-fifo", (*fq).pop, types.SchedFIFO},
-		{"pop-lifo", (*fq).pop, types.SchedLIFO},
-		{"pop-priority", (*fq).pop, types.SchedPriority},
-		{"surrender-newest", (*fq).popSurrender, types.SchedLIFO},
-		{"surrender-oldest", (*fq).popSurrender, types.SchedFIFO},
+		{"pop", (*fq).pop},
+		{"surrender", (*fq).popSurrender},
 	}
 	for _, tk := range takers {
 		q := fill()
 		for q.len() > 1 {
-			tk.take(q, tk.policy)
+			tk.take(q)
 			if q.len()%1000 == 1 && heldSlots(q) != q.len() {
 				t.Fatalf("%s: %d slots hold a frame with %d queued", tk.name, heldSlots(q), q.len())
 			}
 		}
-		tk.take(q, tk.policy)
+		tk.take(q)
 		if q.len() != 0 || heldSlots(q) != 0 {
 			t.Fatalf("%s: emptied queue has len %d and %d held slots", tk.name, q.len(), heldSlots(q))
 		}
@@ -437,7 +395,7 @@ func TestQueueRingHygiene(t *testing.T) {
 	if got := len(q.buckets[0].buf); got != ringMin {
 		t.Fatalf("first ring has %d slots, want %d", got, ringMin)
 	}
-	q.pop(types.SchedFIFO)
+	q.pop()
 	if got := len(q.buckets[0].buf); got != ringMin {
 		t.Fatalf("shallow ring not kept for reuse: %d slots", got)
 	}
@@ -449,7 +407,7 @@ func TestQueueRingHygiene(t *testing.T) {
 		t.Fatalf("ring has %d slots after %d pushes", got, 4*ringKeep)
 	}
 	for q.len() > 0 {
-		q.pop(types.SchedLIFO)
+		q.pop()
 	}
 	if q.buckets[0].buf != nil {
 		t.Fatalf("drained burst still pins %d slots", len(q.buckets[0].buf))
@@ -460,7 +418,7 @@ func TestQueueRingHygiene(t *testing.T) {
 	allocs := testing.AllocsPerRun(100, func() {
 		for p := types.Priority(0); p < 50; p++ {
 			q.push(f, p, time.Time{})
-			q.pop(types.SchedFIFO)
+			q.pop()
 		}
 	})
 	if len(q.buckets) > 2 {

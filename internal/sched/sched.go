@@ -11,11 +11,12 @@
 // When both queues are empty and the processing manager asks for work,
 // the scheduling manager sends *help requests* to other sites — chosen by
 // the cluster manager as "probably not idle" — which answer with a frame
-// or a can't-help message. Per the paper, help replies use a LIFO pick
-// (hide the communication latency behind the freshest work, which has the
-// best chance of spawning more) while local dispatch is FIFO ("to avoid
-// starving of microframes"); both policies are configurable for the A-1
-// ablation.
+// or a can't-help message. Local dispatch is FIFO ("to avoid starving of
+// microframes"), and a help reply surrenders the *oldest* frame of the
+// lowest priority. The paper prescribes a LIFO pick for help replies
+// instead (hide the communication latency behind the freshest work); every
+// measurement this repository records ran oldest-first, so switching is a
+// behaviour change to be measured, not a default to restore.
 package sched
 
 import (
@@ -33,9 +34,26 @@ import (
 	"repro/internal/wire"
 )
 
-// parkedTTL bounds how long a parked help requester is remembered; a
-// site that found work elsewhere meanwhile simply re-begs.
-const parkedTTL = time.Second
+const (
+	// parkedTTL bounds how long a parked help requester is remembered; a
+	// site that found work elsewhere meanwhile simply re-begs.
+	parkedTTL = time.Second
+
+	// helpBatch bounds how many frames one help reply may carry. The
+	// granter surrenders up to half its surplus, capped here, so one
+	// round-trip moves a batch sized by queue depth (bulk work transfer
+	// amortizes the request latency).
+	helpBatch = 4
+	// maxHelpFanout bounds how many distinct sites one help round asks.
+	maxHelpFanout = 3
+)
+
+// helpRetry paces an idle site's help-request rounds. Polling is only the
+// fallback: a turned-away requester is parked at the target, which pushes
+// it the next executable frame (and the push wakes the sleeping worker
+// immediately). The poll period therefore only bounds how fast an idle
+// site discovers *new* busy sites, so it can be lazy.
+var helpRetry = backoff.Policy{Min: time.Millisecond, Max: 25 * time.Millisecond, Jitter: 0.5}
 
 // Resolver turns a thread id into executable code (the code manager).
 type Resolver interface {
@@ -81,38 +99,10 @@ type Ready struct {
 
 // Config parameterizes a scheduling manager.
 type Config struct {
-	// LocalPolicy orders the ready queue for local execution
-	// (paper default: FIFO).
-	LocalPolicy types.SchedulingClass
-	// HelpPolicy picks the frame surrendered to a help request
-	// (paper default: LIFO).
-	HelpPolicy types.SchedulingClass
-	// HelpRetryMin/Max bound the idle site's backoff between help
-	// request rounds.
-	HelpRetryMin time.Duration
-	HelpRetryMax time.Duration
-	// MaxHelpFanout bounds how many distinct sites one help round asks.
-	MaxHelpFanout int
-	// HelpBatch bounds how many frames one help reply may carry. The
-	// granter surrenders up to half its surplus, capped here, so one
-	// round-trip moves a batch sized by queue depth (bulk work transfer
-	// amortizes the request latency). 0 means the default of 4; 1
-	// restores single-frame grants.
-	HelpBatch int
 	// Seed drives the help-retry jitter RNG, so idle sites that went
 	// hungry in the same round don't re-beg in lockstep. Zero means
 	// seed 1; the daemon passes a per-site seed for reproducible runs.
 	Seed int64
-	// NoCriticalPinning disables the §3.3 critical-path treatment
-	// (critical frames dispatch first and never migrate) for the A-7
-	// ablation.
-	NoCriticalPinning bool
-	// CentralSite, when valid, switches this site into the *central
-	// scheduling* baseline (A-5 ablation): every frame that becomes
-	// executable anywhere is forwarded to the central site's queue, and
-	// idle sites direct every help request there — reproducing the
-	// master/worker systems (Condor et al.) the paper argues against.
-	CentralSite types.SiteID
 }
 
 // Stats counts scheduler activity.
@@ -135,7 +125,6 @@ type Manager struct {
 	resolver Resolver
 	adopter  Adopter
 	targeter HelpTargeter // nil: fall back to the cluster-list scan
-	cfg      Config
 	tr       *trace.Tracer
 
 	mu         sync.Mutex
@@ -163,12 +152,11 @@ type Manager struct {
 	done        chan struct{}
 	wg          sync.WaitGroup
 
-	// help paces the idle-site help-request poll; rng jitters it so
-	// starved sites spread out instead of re-begging in lockstep.
-	// guarded by rngMu (GetWork runs on every worker goroutine)
-	help  backoff.Policy
 	rngMu sync.Mutex
-	rng   *rand.Rand
+	// rng jitters the help-request poll (helpRetry) so starved sites
+	// spread out instead of re-begging in lockstep.
+	// guarded by rngMu (GetWork runs on every worker goroutine)
+	rng *rand.Rand
 
 	// lastGrantor is the peer that most recently gave this site work;
 	// it is the first target of the next help round (work begets work:
@@ -250,12 +238,12 @@ func (m *Manager) SetMetrics(reg *metrics.Registry) {
 	})
 }
 
-// dispatchLocked removes the ready frame the local policy dispatches
-// next, counting it and feeding the dispatch-latency histogram with the
-// time since it became executable here. nil when none is ready. Caller
-// holds m.mu.
+// dispatchLocked removes the ready frame local dispatch runs next,
+// counting it and feeding the dispatch-latency histogram with the time
+// since it became executable here. nil when none is ready. Caller holds
+// m.mu.
 func (m *Manager) dispatchLocked() *Ready {
-	r, at, ok := m.ready.pop(m.cfg.LocalPolicy)
+	r, at, ok := m.ready.pop()
 	if !ok {
 		return nil
 	}
@@ -271,23 +259,6 @@ func (m *Manager) dispatchLocked() *Ready {
 
 // New returns a scheduling manager registered for MgrScheduling.
 func New(bus *msgbus.Bus, cm *cluster.Manager, resolver Resolver, cfg Config) *Manager {
-	if cfg.HelpRetryMin <= 0 {
-		cfg.HelpRetryMin = time.Millisecond
-	}
-	if cfg.HelpRetryMax <= 0 {
-		// Polling is only the fallback: a turned-away requester is
-		// parked at the target, which pushes it the next executable
-		// frame (and the push wakes the sleeping worker immediately).
-		// The poll period therefore only bounds how fast an idle site
-		// discovers *new* busy sites, so it can be lazy.
-		cfg.HelpRetryMax = 25 * time.Millisecond
-	}
-	if cfg.MaxHelpFanout <= 0 {
-		cfg.MaxHelpFanout = 3
-	}
-	if cfg.HelpBatch <= 0 {
-		cfg.HelpBatch = 4
-	}
 	if cfg.Seed == 0 {
 		cfg.Seed = 1
 	}
@@ -295,14 +266,12 @@ func New(bus *msgbus.Bus, cm *cluster.Manager, resolver Resolver, cfg Config) *M
 		bus:         bus,
 		cm:          cm,
 		resolver:    resolver,
-		cfg:         cfg,
 		parked:      make(map[types.SiteID]time.Time),
 		dead:        make(map[types.ProgramID]bool),
 		resolveKick: make(chan struct{}, 1),
 		readyKick:   make(chan struct{}, 1),
 		done:        make(chan struct{}),
 		knownProg:   func(types.ProgramID) bool { return true },
-		help:        backoff.Policy{Min: cfg.HelpRetryMin, Max: cfg.HelpRetryMax, Jitter: 0.5},
 		rng:         rand.New(rand.NewSource(cfg.Seed)),
 	}
 	bus.Register(types.MgrScheduling, m)
@@ -394,11 +363,9 @@ func (m *Manager) notifyReady() {
 
 // Enqueue accepts a microframe that just became executable — the
 // attraction memory's fire callback for locally created frames. It never
-// blocks. In central mode (A-5 baseline) frames are forwarded to the
-// central site instead of queueing locally. Surplus local frames scatter
-// round-robin across the cluster (spatial distribution, paper §2.1);
-// frames received from peers enter through enqueueForeign and never
-// bounce onward.
+// blocks. Surplus local frames scatter round-robin across the cluster
+// (spatial distribution, paper §2.1); frames received from peers enter
+// through enqueueForeign and never bounce onward.
 func (m *Manager) Enqueue(f *wire.Microframe) {
 	m.enqueue(f, true)
 }
@@ -438,21 +405,9 @@ func (m *Manager) enqueue(f *wire.Microframe, allowScatter bool) {
 		}
 		return
 	}
-	if m.cfg.CentralSite.Valid() && m.cfg.CentralSite != m.bus.Self() && allowScatter {
-		// Central baseline: locally fired frames go to the master's
-		// queue. Frames the master granted us (allowScatter=false) stay
-		// here — bouncing them back would ping-pong forever.
-		m.mu.Unlock()
-		_ = m.bus.Send(m.cfg.CentralSite, types.MgrScheduling, types.MgrScheduling,
-			&wire.FramePush{Frame: f})
-		return
-	}
 	// Scatter: keep a couple of frames for the local processor, ship
-	// the rest to peers immediately. Critical-path frames stay local,
-	// and the central baseline distributes by pull only.
-	if allowScatter && !m.cfg.CentralSite.Valid() &&
-		(m.cfg.NoCriticalPinning || f.Prio < types.PriorityCritical) &&
-		m.queuedLocked() >= 2 {
+	// the rest to peers immediately. Critical-path frames stay local.
+	if allowScatter && f.Prio < types.PriorityCritical && m.queuedLocked() >= 2 {
 		if dst := m.scatterTargetLocked(); dst.Valid() {
 			m.mu.Unlock()
 			m.pushGranted(dst, f, "scatter")
@@ -579,7 +534,7 @@ func (m *Manager) resolveLoop() {
 	defer m.wg.Done()
 	for {
 		m.mu.Lock()
-		f, at, ok := m.executable.pop(m.cfg.LocalPolicy)
+		f, at, ok := m.executable.pop()
 		m.mu.Unlock()
 
 		if !ok {
@@ -692,7 +647,7 @@ func (m *Manager) GetWork() (r *Ready, ok bool) {
 func (m *Manager) helpDelay(attempt int) time.Duration {
 	m.rngMu.Lock()
 	defer m.rngMu.Unlock()
-	return m.help.Delay(attempt, m.rng)
+	return helpRetry.Delay(attempt, m.rng)
 }
 
 // TryGetWork returns a ready frame if one is queued, without blocking or
@@ -707,23 +662,17 @@ func (m *Manager) TryGetWork() (*Ready, bool) {
 	return r, r != nil
 }
 
-// askForHelp runs one help-request round: ask up to MaxHelpFanout
+// askForHelp runs one help-request round: ask up to maxHelpFanout
 // distinct peers, stop at the first grant. Reports whether work arrived.
-// In central mode the only target is the central site.
 func (m *Manager) askForHelp() bool {
 	self := m.cm.Self()
 	exclude := make(map[types.SiteID]bool)
-	for i := 0; i < m.cfg.MaxHelpFanout; i++ {
-		var target types.SiteID
-		switch {
-		case m.cfg.CentralSite.Valid():
-			if i > 0 || m.cfg.CentralSite == self.ID {
-				return false
-			}
-			target = m.cfg.CentralSite
-		case i == 0 && m.grantorTarget(exclude) != types.InvalidSite:
+	for i := 0; i < maxHelpFanout; i++ {
+		target := types.InvalidSite
+		if i == 0 {
 			target = m.grantorTarget(exclude)
-		default:
+		}
+		if target == types.InvalidSite {
 			target = m.pickHelpTarget(exclude)
 		}
 		if target == types.InvalidSite {
@@ -829,46 +778,34 @@ func (m *Manager) grantorTarget(exclude map[types.SiteID]bool) types.SiteID {
 
 // surplusLocked counts the queued frames this site can give away. It
 // keeps the last frame for itself: handing away our only work would just
-// bounce the idleness to this site. (A central-mode master is a pure
-// dispatcher and gives everything away.) Caller holds m.mu.
+// bounce the idleness to this site. Caller holds m.mu.
 func (m *Manager) surplusLocked() int {
-	if m.cfg.CentralSite.Valid() && m.cfg.CentralSite == m.bus.Self() {
-		return m.queuedLocked()
-	}
 	return m.queuedLocked() - 1
 }
 
-// popSurrenderLocked takes the lowest-priority non-critical frame to give
-// away, ties broken by the help policy: executable queue first (no code
-// resolution invested yet), then the ready queue (strip the code pointer;
-// the peer resolves it again). Caller holds m.mu.
+// popSurrenderLocked takes the oldest lowest-priority non-critical frame
+// to give away: executable queue first (no code resolution invested yet),
+// then the ready queue (strip the code pointer; the peer resolves it
+// again). Caller holds m.mu.
 func (m *Manager) popSurrenderLocked() *wire.Microframe {
-	if f, _, ok := m.executable.popSurrender(m.cfg.HelpPolicy); ok {
+	if f, _, ok := m.executable.popSurrender(); ok {
 		return f
 	}
-	if r, _, ok := m.ready.popSurrender(m.cfg.HelpPolicy); ok {
+	if r, _, ok := m.ready.popSurrender(); ok {
 		return r.Frame
 	}
 	return nil
 }
 
 // surrenderFrame picks one frame to give away in a help reply and counts
-// it. Without critical pinning (A-7 ablation) the help policy pops from
-// the queues unrestricted.
+// it.
 func (m *Manager) surrenderFrame() *wire.Microframe {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if m.surplusLocked() <= 0 {
 		return nil
 	}
-	var f *wire.Microframe
-	if !m.cfg.NoCriticalPinning {
-		f = m.popSurrenderLocked()
-	} else if e, _, ok := m.executable.pop(m.cfg.HelpPolicy); ok {
-		f = e
-	} else if r, _, ok := m.ready.pop(m.cfg.HelpPolicy); ok {
-		f = r.Frame
-	}
+	f := m.popSurrenderLocked()
 	if f == nil {
 		return nil
 	}
@@ -880,7 +817,7 @@ func (m *Manager) surrenderFrame() *wire.Microframe {
 	return f
 }
 
-// surrenderBatch picks up to HelpBatch frames to give away in one help
+// surrenderBatch picks up to helpBatch frames to give away in one help
 // reply: half the current surplus (beyond the keep-one rule), so a deep
 // queue sheds work in bulk while a shallow one still grants a single
 // frame. surrenderFrame re-checks the keep rule on every pick, so a
@@ -892,10 +829,7 @@ func (m *Manager) surrenderBatch() []*wire.Microframe {
 	if surplus <= 0 {
 		return nil
 	}
-	n := (surplus + 1) / 2
-	if n > m.cfg.HelpBatch {
-		n = m.cfg.HelpBatch
-	}
+	n := min((surplus+1)/2, helpBatch)
 	var out []*wire.Microframe
 	for len(out) < n {
 		f := m.surrenderFrame()

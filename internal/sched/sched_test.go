@@ -1,6 +1,7 @@
 package sched
 
 import (
+	"fmt"
 	"math/rand"
 	"sync"
 	"testing"
@@ -102,7 +103,7 @@ func TestEnqueueGetWork(t *testing.T) {
 }
 
 func TestLocalFIFOOrder(t *testing.T) {
-	_, mgrs := schedCluster(t, 1, Config{LocalPolicy: types.SchedFIFO})
+	_, mgrs := schedCluster(t, 1, Config{})
 	m := mgrs[0]
 	for i := uint64(1); i <= 5; i++ {
 		m.Enqueue(frameFor(1, i, types.PriorityNormal))
@@ -112,26 +113,6 @@ func TestLocalFIFOOrder(t *testing.T) {
 		if !ok || r.Frame.ID.Local != i {
 			t.Fatalf("FIFO violated: got %v, want local %d", r.Frame.ID, i)
 		}
-	}
-}
-
-func TestLocalPriorityOrder(t *testing.T) {
-	_, mgrs := schedCluster(t, 1, Config{LocalPolicy: types.SchedPriority})
-	m := mgrs[0]
-	m.Enqueue(frameFor(1, 1, types.PriorityLow))
-	m.Enqueue(frameFor(1, 2, types.PriorityCritical))
-	m.Enqueue(frameFor(1, 3, types.PriorityNormal))
-	// Let the resolver drain everything into the ready queue first, so
-	// the priority pick sees all three.
-	testnet.WaitFor(t, "resolved", func() bool {
-		m.mu.Lock()
-		defer m.mu.Unlock()
-		return m.ready.len() == 3
-	})
-
-	r, _ := m.GetWork()
-	if r.Frame.ID.Local != 2 {
-		t.Fatalf("priority pick = %v, want the critical frame", r.Frame.ID)
 	}
 }
 
@@ -184,40 +165,104 @@ func TestHelpRequestMovesWork(t *testing.T) {
 	}
 }
 
-func TestHelpReplyLIFO(t *testing.T) {
-	_, mgrs := schedCluster(t, 2, Config{HelpPolicy: types.SchedLIFO})
-	busy, idle := mgrs[0], mgrs[1]
-	for i := uint64(1); i <= 4; i++ {
-		busy.Enqueue(frameFor(1, i, types.PriorityNormal))
+// gateResolver blocks every Resolve until the gate opens, so frames stay
+// in the executable queue where a help reply can take them.
+type gateResolver struct {
+	entered chan struct{}
+	gate    chan struct{}
+}
+
+func newGateResolver() *gateResolver {
+	return &gateResolver{entered: make(chan struct{}, 1), gate: make(chan struct{})}
+}
+
+func (r *gateResolver) Resolve(types.ThreadID) (mthread.Func, error) {
+	select {
+	case r.entered <- struct{}{}:
+	default:
 	}
-	// Ask directly (bypassing PickHelpTarget randomness).
-	self := idle.cm.Self()
-	reply, err := idle.bus.Request(busy.bus.Self(), types.MgrScheduling, types.MgrScheduling,
-		&wire.HelpRequest{Requester: self.ID}, 5*time.Second)
-	if err != nil {
-		t.Fatal(err)
+	<-r.gate
+	return func(mthread.Context) error { return nil }, nil
+}
+
+// TestHelpReplySurrendersOldestFirst pins the surrender order every site
+// runs: help replies hand out the oldest non-critical frame first, and a
+// critical frame is never given away however often the peer asks.
+func TestHelpReplySurrendersOldestFirst(t *testing.T) {
+	res := newGateResolver()
+	var busy *Manager
+	nodes := testnet.NewCluster(t, 2, func(i int, node *testnet.Node) {
+		if i == 0 {
+			busy = New(node.Bus, node.CM, res, Config{})
+			busy.SetAdopter(newFakeAdopter())
+			busy.Start()
+		}
+	})
+	t.Cleanup(busy.Close)
+	t.Cleanup(func() { close(res.gate) }) // runs first: unblocks the resolve loop
+
+	// The resolve loop takes the first frame and blocks on it; the rest
+	// stay executable. Granted frames never scatter, so the queue holds
+	// exactly what is enqueued here.
+	busy.enqueueForeign(frameFor(1, 100, types.PriorityNormal))
+	select {
+	case <-res.entered:
+	case <-time.After(5 * time.Second):
+		t.Fatal("resolve loop never picked up a frame")
 	}
-	hr := reply.Payload.(*wire.HelpReply)
-	if hr.CantHelp || len(hr.Frames) == 0 {
-		t.Fatal("unexpected can't-help")
+	busy.enqueueForeign(frameFor(1, 1, types.PriorityNormal))
+	busy.enqueueForeign(frameFor(1, 2, types.PriorityCritical))
+	for i := uint64(3); i <= 5; i++ {
+		busy.enqueueForeign(frameFor(1, i, types.PriorityNormal))
 	}
-	// LIFO must surrender the newest executable frame (local 4) first —
-	// unless the resolver already moved some to ready; the newest
-	// still-queued frame is what LIFO yields. Accept local >= 2 but
-	// assert the first surrendered frame is not the oldest.
-	if hr.Frames[0].ID.Local == 1 {
-		t.Fatalf("LIFO help reply returned the oldest frame first")
+
+	var got []uint64
+	for round := 0; ; round++ {
+		if round > 10 {
+			t.Fatalf("still granting after %d rounds: %v", round, got)
+		}
+		reply, err := nodes[1].Bus.Request(busy.bus.Self(), types.MgrScheduling, types.MgrScheduling,
+			&wire.HelpRequest{Requester: nodes[1].Bus.Self()}, 5*time.Second)
+		if err != nil {
+			t.Fatal(err)
+		}
+		hr := reply.Payload.(*wire.HelpReply)
+		if hr.CantHelp {
+			break
+		}
+		for _, f := range hr.Frames {
+			got = append(got, f.ID.Local)
+		}
+	}
+	if want := []uint64{1, 3, 4, 5}; fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("surrendered %v, want %v (oldest first, critical kept)", got, want)
+	}
+	if n := busy.QueueLen(); n != 1 {
+		t.Fatalf("%d frames left queued, want the critical one", n)
 	}
 }
 
+// waitResolved waits until n frames sit in m's ready queue. A frame the
+// resolve loop holds in hand is in neither queue, so the surplus a help
+// reply sees is only settled once every frame has been resolved.
+func waitResolved(t *testing.T, m *Manager, n int) {
+	t.Helper()
+	testnet.WaitFor(t, "resolved", func() bool {
+		m.mu.Lock()
+		defer m.mu.Unlock()
+		return m.ready.len() == n
+	})
+}
+
 func TestHelpReplyBatchesDeepQueue(t *testing.T) {
-	// Central mode pins all frames at the master and never scatters, so
-	// the queue depth at help-request time is deterministic.
-	_, mgrs := schedCluster(t, 2, Config{CentralSite: 1, HelpBatch: 4})
-	master, worker := mgrs[0], mgrs[1] // bootstrap has id 1
+	// Frames a peer granted never scatter, so the queue depth at
+	// help-request time is deterministic.
+	_, mgrs := schedCluster(t, 2, Config{})
+	master, worker := mgrs[0], mgrs[1]
 	for i := uint64(1); i <= 8; i++ {
-		master.Enqueue(frameFor(1, i, types.PriorityNormal))
+		master.enqueueForeign(frameFor(1, i, types.PriorityNormal))
 	}
+	waitResolved(t, master, 8)
 	reply, err := worker.bus.Request(master.bus.Self(), types.MgrScheduling, types.MgrScheduling,
 		&wire.HelpRequest{Requester: worker.bus.Self()}, 5*time.Second)
 	if err != nil {
@@ -227,8 +272,8 @@ func TestHelpReplyBatchesDeepQueue(t *testing.T) {
 	if hr.CantHelp {
 		t.Fatal("deep queue refused to help")
 	}
-	// Surplus is 8 (a central master keeps nothing); half of it capped
-	// by HelpBatch=4 must arrive in one reply.
+	// Surplus is 7 (the keep-one rule holds one back); half of it capped
+	// by helpBatch=4 must arrive in one reply.
 	if len(hr.Frames) != 4 {
 		t.Fatalf("got %d frames in one help reply, want 4", len(hr.Frames))
 	}
@@ -244,23 +289,6 @@ func TestHelpReplyBatchesDeepQueue(t *testing.T) {
 	}
 	if s := master.Stats(); s.HelpServed != 4 {
 		t.Fatalf("HelpServed = %d, want 4", s.HelpServed)
-	}
-}
-
-func TestHelpBatchOneRestoresSingleGrants(t *testing.T) {
-	_, mgrs := schedCluster(t, 2, Config{CentralSite: 1, HelpBatch: 1})
-	master, worker := mgrs[0], mgrs[1]
-	for i := uint64(1); i <= 6; i++ {
-		master.Enqueue(frameFor(1, i, types.PriorityNormal))
-	}
-	reply, err := worker.bus.Request(master.bus.Self(), types.MgrScheduling, types.MgrScheduling,
-		&wire.HelpRequest{Requester: worker.bus.Self()}, 5*time.Second)
-	if err != nil {
-		t.Fatal(err)
-	}
-	hr := reply.Payload.(*wire.HelpReply)
-	if hr.CantHelp || len(hr.Frames) != 1 {
-		t.Fatalf("HelpBatch=1 granted %d frames, want exactly 1", len(hr.Frames))
 	}
 }
 
@@ -400,18 +428,18 @@ func (a *reclaimAdopter) ReclaimGrants(grantee types.SiteID, ids []types.FrameID
 // whole granted batch would be lost. The granter must take the grants
 // back from the log and requeue every frame locally.
 func TestHelpReplyUndeliverableReclaimed(t *testing.T) {
-	// Central mode keeps all frames at the master, so the queue depth is
-	// deterministic (see TestHelpReplyBatchesDeepQueue).
-	_, mgrs := schedCluster(t, 2, Config{CentralSite: 1, HelpBatch: 4})
+	// Granted frames never scatter, so the queue depth is deterministic
+	// (see TestHelpReplyBatchesDeepQueue).
+	_, mgrs := schedCluster(t, 2, Config{})
 	master := mgrs[0]
 	ad := newReclaimAdopter()
 	master.SetAdopter(ad)
 
 	const n = 8
 	for i := uint64(1); i <= n; i++ {
-		master.Enqueue(frameFor(1, i, types.PriorityNormal))
+		master.enqueueForeign(frameFor(1, i, types.PriorityNormal))
 	}
-	testnet.WaitFor(t, "queued", func() bool { return master.QueueLen() == n })
+	waitResolved(t, master, n)
 
 	// A help request from a site no longer in the roster: the reply's
 	// address lookup fails, which is exactly what a granter sees when
@@ -594,44 +622,6 @@ func TestResolveErrorDropsFrame(t *testing.T) {
 	})
 	if _, ok := m.TryGetWork(); ok {
 		t.Fatal("unresolvable frame became ready")
-	}
-}
-
-func TestCentralModeForwardsFrames(t *testing.T) {
-	_, mgrs := schedCluster(t, 2, Config{CentralSite: 1})
-	master, worker := mgrs[0], mgrs[1] // bootstrap has id 1
-
-	// A frame enqueued at the worker must land in the master's queue.
-	worker.Enqueue(frameFor(worker.bus.Self(), 1, types.PriorityNormal))
-	testnet.WaitFor(t, "frame at master", func() bool {
-		return master.QueueLen() > 0 || master.Stats().Enqueued > 0
-	})
-	if worker.Stats().Enqueued != 0 {
-		t.Fatal("central mode queued locally at a worker")
-	}
-
-	// The master (pure dispatcher) surrenders even its only frame.
-	reply, err := worker.bus.Request(master.bus.Self(), types.MgrScheduling, types.MgrScheduling,
-		&wire.HelpRequest{Requester: worker.bus.Self()}, 5*time.Second)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if reply.Payload.(*wire.HelpReply).CantHelp {
-		t.Fatal("central master refused its only frame")
-	}
-}
-
-func TestPickIndexPolicies(t *testing.T) {
-	prios := []types.Priority{0, 5, 5, 1}
-	at := func(i int) types.Priority { return prios[i] }
-	if pickIndex(4, types.SchedFIFO, at) != 0 {
-		t.Error("FIFO pick wrong")
-	}
-	if pickIndex(4, types.SchedLIFO, at) != 3 {
-		t.Error("LIFO pick wrong")
-	}
-	if pickIndex(4, types.SchedPriority, at) != 1 {
-		t.Error("priority pick must take first-highest (FIFO tie-break)")
 	}
 }
 

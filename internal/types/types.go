@@ -212,31 +212,3 @@ type SiteInfo struct {
 	// trustworthy machine that stores checkpoints for the unsafe sites
 	// around it
 }
-
-// SchedulingClass partitions help-reply policies. The paper uses LIFO for
-// replying to help requests (latency hiding) and FIFO locally (starvation
-// avoidance); both are configurable for the A-1 ablation.
-type SchedulingClass uint8
-
-const (
-	// SchedFIFO serves the oldest microframe first.
-	SchedFIFO SchedulingClass = iota
-	// SchedLIFO serves the newest microframe first.
-	SchedLIFO
-	// SchedPriority serves the highest-priority microframe first,
-	// breaking ties FIFO.
-	SchedPriority
-)
-
-func (c SchedulingClass) String() string {
-	switch c {
-	case SchedFIFO:
-		return "fifo"
-	case SchedLIFO:
-		return "lifo"
-	case SchedPriority:
-		return "priority"
-	default:
-		return fmt.Sprintf("sched(%d)", uint8(c))
-	}
-}

@@ -95,15 +95,6 @@ func TestManagerIDNamesDistinct(t *testing.T) {
 	}
 }
 
-func TestSchedulingClassString(t *testing.T) {
-	if SchedFIFO.String() != "fifo" || SchedLIFO.String() != "lifo" || SchedPriority.String() != "priority" {
-		t.Error("SchedulingClass names wrong")
-	}
-	if SchedulingClass(99).String() == "" {
-		t.Error("unknown class should still format")
-	}
-}
-
 func TestAddrErrorUnwrap(t *testing.T) {
 	err := &AddrError{Err: ErrNoSuchObject, Addr: GlobalAddr{Home: 2, Local: 5}}
 	if !errors.Is(err, ErrNoSuchObject) {

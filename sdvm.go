@@ -36,7 +36,6 @@ import (
 	"time"
 
 	"repro/internal/checkpoint"
-	"repro/internal/cluster"
 	"repro/internal/daemon"
 	"repro/internal/exec"
 	"repro/internal/mthread"
@@ -81,14 +80,6 @@ type (
 	Usage = wire.Usage
 )
 
-// Scheduling policy classes (paper §4: FIFO locally, LIFO for help
-// replies).
-const (
-	SchedFIFO     = types.SchedFIFO
-	SchedLIFO     = types.SchedLIFO
-	SchedPriority = types.SchedPriority
-)
-
 // Standard priorities.
 const (
 	PriorityLow      = types.PriorityLow
@@ -104,7 +95,8 @@ func Register(name string, fn Func) { mthread.Global.Register(name, fn) }
 
 // Options configures one SDVM site. The zero value gives a plaintext
 // TCP site on an ephemeral local port with the paper's defaults
-// (latency-hiding window 5, FIFO local / LIFO help scheduling).
+// (latency-hiding window 5, FIFO local dispatch); help replies surrender
+// the oldest non-critical frame.
 type Options struct {
 	// Addr is the listen address: "host:port" for TCP (default
 	// "127.0.0.1:0"), any unique name for an in-process Network.
@@ -144,16 +136,6 @@ type Options struct {
 	// CompileCost simulates on-the-fly compilation of one microthread.
 	CompileCost time.Duration
 
-	// IDStrategy picks the logical-id allocation concept (paper §4):
-	// central contact site, id contingents, or modulo emission.
-	IDStrategy cluster.Strategy
-	// LocalPolicy / HelpPolicy override the scheduling disciplines.
-	LocalPolicy types.SchedulingClass
-	HelpPolicy  types.SchedulingClass
-	// CentralSched switches the cluster into the central-scheduler
-	// baseline (master/worker; for comparison experiments only).
-	CentralSched bool
-
 	// CheckpointEvery enables periodic checkpointing (0 = off).
 	CheckpointEvery time.Duration
 	// HeartbeatEvery enables crash detection (0 = off).
@@ -167,9 +149,6 @@ type Options struct {
 	// this flag and adopts whatever the sign-on reply reports.
 	// Recommended beyond a few dozen sites.
 	Gossip bool
-	// GossipFanout overrides how many peers receive each digest
-	// (default 3).
-	GossipFanout int
 
 	// TraceCapacity enables the per-site event tracer with a ring of
 	// this many events (0 = off); see Site.Daemon.Trace and the trace
@@ -214,22 +193,17 @@ func (o Options) daemonConfig() (daemon.Config, error) {
 		model = exec.WorkSimulated
 	}
 	return daemon.Config{
-		PhysAddr:     addr,
-		Network:      net,
-		Security:     sec,
-		Platform:     o.Platform,
-		Speed:        o.Speed,
-		Reliable:     o.Reliable,
-		Window:       o.Window,
-		WorkModel:    model,
-		WorkUnit:     o.WorkUnit,
-		CompileCost:  o.CompileCost,
-		IDStrategy:   o.IDStrategy,
-		LocalPolicy:  o.LocalPolicy,
-		HelpPolicy:   o.HelpPolicy,
-		CentralSched: o.CentralSched,
-		Gossip:       o.Gossip,
-		GossipFanout: o.GossipFanout,
+		PhysAddr:    addr,
+		Network:     net,
+		Security:    sec,
+		Platform:    o.Platform,
+		Speed:       o.Speed,
+		Reliable:    o.Reliable,
+		Window:      o.Window,
+		WorkModel:   model,
+		WorkUnit:    o.WorkUnit,
+		CompileCost: o.CompileCost,
+		Gossip:      o.Gossip,
 		Checkpoint: checkpoint.Config{
 			Interval:       o.CheckpointEvery,
 			HeartbeatEvery: o.HeartbeatEvery,
