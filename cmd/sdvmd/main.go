@@ -44,7 +44,6 @@ func main() {
 		heartbeat  = flag.Duration("heartbeat", 0, "crash-detection heartbeat (0 = off)")
 		status     = flag.Duration("status", 5*time.Second, "status print interval (0 = quiet)")
 		simulated  = flag.Bool("simwork", false, "simulate Work by sleeping instead of burning CPU")
-		gossip     = flag.Bool("gossip", false, "epidemic membership/load dissemination instead of broadcasts (bootstrap only; joiners adopt the cluster's mode)")
 		useUDP     = flag.Bool("udp", false, "use the reliable-UDP transport instead of TCP")
 		metrics    = flag.Bool("metrics", false, "enable the metrics registry (queryable via sdvmstat -metrics)")
 		metricsAt  = flag.String("metrics-addr", "", "also serve metrics as JSON over HTTP at host:port (implies -metrics)")
@@ -61,7 +60,6 @@ func main() {
 		CheckpointEvery: *checkpoint,
 		HeartbeatEvery:  *heartbeat,
 		SimulatedWork:   *simulated,
-		Gossip:          *gossip,
 		Metrics:         *metrics,
 		MetricsAddr:     *metricsAt,
 	}

@@ -101,7 +101,7 @@ func MemStress(spec Spec, workers, addrsPerWorker, rounds, procs int) (MemStress
 	}, nil
 }
 
-// ScaleStormPoint is one cluster size of the P-4 gossip-scale
+// ScaleStormPoint is one cluster size of the P-4 membership-at-scale
 // measurement.
 type ScaleStormPoint struct {
 	Sites      int
@@ -111,15 +111,15 @@ type ScaleStormPoint struct {
 	Converged  bool
 }
 
-// ScaleStorm builds gossip-mode clusters of the given sizes and measures
-// membership dissemination at scale. In gossip mode a sign-on is not
-// broadcast — late joiners get the roster from the sign-on snapshot, but
-// every earlier site learns of them only through bounded epidemic
-// digests — so full roster convergence is a direct measurement of the
-// protocol's O(log N) dissemination. The final phase signs one site off
-// and times the Left tombstone's spread back across every roster.
-// Broadcast mode would cost O(N²) messages per load-report tick at these
-// sizes; gossip runs them at O(N·fanout).
+// ScaleStorm builds clusters of the given sizes and measures membership
+// dissemination at scale. A sign-on is not broadcast — late joiners get
+// the roster from the sign-on snapshot, the contact pushes the
+// newcomer's row to a fanout of peers, and every other earlier site
+// learns of it only through bounded epidemic digests — so full roster
+// convergence is a direct measurement of the protocol's O(log N)
+// dissemination. The final phase signs one site off and times the Left
+// tombstone's spread back across every roster. Gossip runs these sizes
+// at O(N·fanout) messages per tick.
 func ScaleStorm(sizes []int, workUnit time.Duration) ([]ScaleStormPoint, error) {
 	out := make([]ScaleStormPoint, 0, len(sizes))
 	for _, n := range sizes {
@@ -135,7 +135,7 @@ func ScaleStorm(sizes []int, workUnit time.Duration) ([]ScaleStormPoint, error) 
 func scaleStormOne(n int, workUnit time.Duration) (ScaleStormPoint, error) {
 	pt := ScaleStormPoint{Sites: n}
 	start := time.Now()
-	c, err := NewCluster(Spec{Sites: n, WorkUnit: workUnit, Gossip: true})
+	c, err := NewCluster(Spec{Sites: n, WorkUnit: workUnit})
 	if err != nil {
 		return pt, err
 	}

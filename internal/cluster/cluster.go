@@ -4,9 +4,12 @@
 // every site participating in the cluster": logical and physical
 // addresses, platform id, relative speed, and load statistics. It runs
 // the sign-on protocol (paper §3.4), allocates logical ids from the
-// bootstrap site's counter, propagates membership knowledge, and answers
-// the scheduling manager's question "which site should I send a help
-// request to?" based on the statistics it holds about other sites.
+// bootstrap site's counter, and answers the scheduling manager's
+// question "which site should I send a help request to?" based on the
+// statistics it holds about other sites. Membership knowledge and those
+// statistics spread through the epidemic layer (internal/gossip), which
+// feeds this list through the OnJoin/OnLeave hooks, MergeSite, Remove
+// and UpdateStats.
 package cluster
 
 import (
@@ -58,11 +61,6 @@ type Manager struct {
 	onChangeMu sync.Mutex
 	onJoin     []func(types.SiteInfo)
 	onLeave    []func(types.SiteID, bool) // crashed?
-
-	// gossipMode suppresses the broadcast membership paths (newcomer
-	// announcements) — the gossip manager carries them instead. Set once
-	// during daemon wiring, before the bus starts.
-	gossipMode bool
 }
 
 // New returns a cluster manager bound to bus. It registers itself as the
@@ -143,10 +141,6 @@ func (m *Manager) Join(contactAddr string, timeout time.Duration) error {
 		Speed:    m.cfg.Speed,
 		Reliable: m.cfg.Reliable,
 	}
-	// Dissemination mode is a cluster property, not a site flag: adopt
-	// whatever the contact reports, overruling the local configuration
-	// (the daemon re-wires its managers from GossipMode after Join).
-	m.gossipMode = ack.Gossip
 	m.bus.SetSelf(ack.Assigned)
 	for _, s := range ack.Cluster {
 		if s.ID != ack.Assigned && s.PhysAddr != m.cfg.PhysAddr {
@@ -174,7 +168,7 @@ func (m *Manager) SelfID() types.SiteID {
 	return m.self.ID
 }
 
-// UpdateSelf refreshes the local statistics that travel in load reports.
+// UpdateSelf refreshes the local statistics that travel in gossip digests.
 func (m *Manager) UpdateSelf(load float64, queueLen, programs int32) {
 	m.mu.Lock()
 	m.self.Load = load
@@ -304,23 +298,6 @@ func (m *Manager) OnLeave(f func(id types.SiteID, crashed bool)) {
 	m.onChangeMu.Unlock()
 }
 
-// SetGossipMode turns off the broadcast membership paths: newcomer
-// announcements ride the gossip digests instead of a cluster-wide
-// SiteAnnounce. Must be set during wiring, before any traffic flows.
-func (m *Manager) SetGossipMode(on bool) {
-	m.mu.Lock()
-	m.gossipMode = on
-	m.mu.Unlock()
-}
-
-// GossipMode reports the cluster's dissemination mode: the local wiring
-// for the bootstrap site, the contact's sign-on answer for a joiner.
-func (m *Manager) GossipMode() bool {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	return m.gossipMode
-}
-
 // Departed reports whether id is known to have signed off or crashed.
 // Send paths use it to skip peers the roster has marked gone.
 func (m *Manager) Departed(id types.SiteID) bool {
@@ -345,12 +322,11 @@ func (m *Manager) VacatedAddr(id types.SiteID) string {
 	return addr
 }
 
-// MergeSite adds or refreshes a peer entry learned out of band — the
-// gossip manager's path into the roster for sites introduced by a
-// digest. Fires OnJoin exactly like an announcement would. Gossip
-// events are incarnation-fenced, so a merge for a departed id is an
-// authoritative revival (the subject itself outbid its tombstone) and
-// clears the departed mark that blocks ordinary announcements.
+// MergeSite adds or refreshes a peer entry learned from a gossip digest.
+// Fires OnJoin for a site new to the list. Gossip events are
+// incarnation-fenced, so a merge for a departed id is an authoritative
+// revival (the subject itself outbid its tombstone) and clears the
+// departed mark.
 func (m *Manager) MergeSite(s types.SiteInfo) {
 	if s.ID.Valid() {
 		m.mu.Lock()
@@ -360,8 +336,8 @@ func (m *Manager) MergeSite(s types.SiteInfo) {
 	m.merge(s)
 }
 
-// UpdateStats refreshes the load vector of a known peer (the gossip
-// equivalent of handleLoadReport). Unknown or departed ids are ignored.
+// UpdateStats refreshes the load vector of a known peer from a gossiped
+// row. Unknown or departed ids are ignored.
 func (m *Manager) UpdateStats(id types.SiteID, load float64, queueLen, programs int32) {
 	m.mu.Lock()
 	if s, ok := m.sites[id]; ok {
@@ -379,9 +355,9 @@ func (m *Manager) merge(s types.SiteInfo) {
 		return
 	}
 	m.mu.Lock()
-	// The physical-address check covers the sign-on race: the cluster's
-	// announcement of *this* site can arrive before Join has recorded
-	// the assigned id, and must not create a phantom peer.
+	// The physical-address check covers the sign-on race: a digest
+	// carrying *this* site's row can arrive before Join has recorded the
+	// assigned id, and must not create a phantom peer.
 	if _, gone := m.departed[s.ID]; gone || s.ID == m.self.ID || s.PhysAddr == m.cfg.PhysAddr {
 		m.mu.Unlock()
 		return
@@ -470,27 +446,6 @@ func (m *Manager) PickHelpTarget(exclude map[types.SiteID]bool) types.SiteID {
 	return pick.id
 }
 
-// BroadcastLoad sends this site's statistics to every peer.
-func (m *Manager) BroadcastLoad() {
-	self := m.Self()
-	if !self.ID.Valid() {
-		return
-	}
-	_ = m.bus.Send(types.Broadcast, types.MgrCluster, types.MgrCluster, &wire.LoadReport{
-		Site:     self.ID,
-		Load:     self.Load,
-		QueueLen: self.QueueLen,
-		Programs: self.Programs,
-	})
-}
-
-// AnnounceSignOff tells every peer this site is leaving (after the site
-// manager relocated all state).
-func (m *Manager) AnnounceSignOff() {
-	_ = m.bus.Send(types.Broadcast, types.MgrCluster, types.MgrCluster,
-		&wire.SignOffNotice{Leaving: m.SelfID()})
-}
-
 // HandleMessage implements msgbus.Handler.
 func (m *Manager) HandleMessage(msg *wire.Message) {
 	switch p := msg.Payload.(type) {
@@ -500,16 +455,6 @@ func (m *Manager) HandleMessage(msg *wire.Message) {
 		go m.handleSignOn(msg, p)
 	case *wire.IDBlockRequest:
 		m.handleIDBlock(msg, p)
-	case *wire.SiteAnnounce:
-		for _, s := range p.Sites {
-			m.merge(s)
-		}
-	case *wire.SignOffNotice:
-		m.Remove(p.Leaving, false)
-	case *wire.CrashNotice:
-		m.Remove(p.Dead, true)
-	case *wire.LoadReport:
-		m.handleLoadReport(p)
 	case *wire.Ping:
 		_ = m.bus.Reply(msg, types.MgrCluster, &wire.Pong{Nonce: p.Nonce})
 	}
@@ -542,6 +487,10 @@ func (m *Manager) handleSignOn(msg *wire.Message, req *wire.SignOnRequest) {
 		Speed:    req.Speed,
 		Reliable: req.Reliable,
 	}
+	// The merge fires OnJoin, where the gossip layer pushes the
+	// newcomer's row to a fanout of peers at once (paper: "A's id and
+	// status information is then propagated to the other sites of the
+	// cluster"); the epidemic carries it to the rest.
 	m.merge(newcomer)
 
 	// Snapshot includes us, the newcomer, and everyone we know.
@@ -551,7 +500,6 @@ func (m *Manager) handleSignOn(msg *wire.Message, req *wire.SignOnRequest) {
 	for _, s := range m.sites {
 		snapshot = append(snapshot, s)
 	}
-	gossiping := m.gossipMode
 	m.mu.RUnlock()
 
 	// The requester had no logical id when it sent the sign-on (its Src
@@ -566,21 +514,9 @@ func (m *Manager) handleSignOn(msg *wire.Message, req *wire.SignOnRequest) {
 		DstMgr:  msg.SrcMgr,
 		Seq:     m.bus.NextSeq(),
 		Reply:   msg.Seq,
-		Payload: &wire.SignOnReply{Assigned: id, Gossip: gossiping, Cluster: snapshot},
+		Payload: &wire.SignOnReply{Assigned: id, Cluster: snapshot},
 	}
-	if err := m.bus.SendMsg(reply); err != nil {
-		return
-	}
-	// Propagate the newcomer to everyone else (paper: "A's id and status
-	// information is then propagated to the other sites of the cluster").
-	// In gossip mode the merge above already seeded a hot row via the
-	// OnJoin hook; the epidemic spreads it in O(log N) rounds, so the
-	// O(cluster) broadcast is skipped.
-	if gossiping {
-		return
-	}
-	_ = m.bus.Send(types.Broadcast, types.MgrCluster, types.MgrCluster,
-		&wire.SiteAnnounce{Sites: []types.SiteInfo{newcomer}})
+	_ = m.bus.SendMsg(reply)
 }
 
 func (m *Manager) handleIDBlock(msg *wire.Message, req *wire.IDBlockRequest) {
@@ -601,15 +537,4 @@ func (m *Manager) handleIDBlock(msg *wire.Message, req *wire.IDBlockRequest) {
 		return
 	}
 	_ = m.bus.Reply(msg, types.MgrCluster, &wire.IDBlockReply{First: first, Count: want})
-}
-
-func (m *Manager) handleLoadReport(p *wire.LoadReport) {
-	m.mu.Lock()
-	if s, ok := m.sites[p.Site]; ok {
-		s.Load = p.Load
-		s.QueueLen = p.QueueLen
-		s.Programs = p.Programs
-		m.sites[p.Site] = s
-	}
-	m.mu.Unlock()
 }

@@ -327,6 +327,63 @@ func TestDepartedPeerForgotten(t *testing.T) {
 	}
 }
 
+// With no statistics tick ever firing, no gossip round runs: the sign-on
+// contact's immediate push of each newcomer's row is the only thing that
+// can complete every roster.
+func TestRostersConvergeWithoutStatsTicks(t *testing.T) {
+	_, ds := testCluster(t, 4, func(i int, cfg *daemon.Config) {
+		cfg.LoadReportEvery = time.Hour
+	})
+	waitFullRosters(t, ds)
+}
+
+// waitFullRosters fails the test unless every daemon's roster lists all
+// of ds within 5 s.
+func waitFullRosters(t *testing.T, ds []*daemon.Daemon) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for _, d := range ds {
+		for d.CM.Size() != len(ds) {
+			if time.Now().After(deadline) {
+				t.Fatalf("site %v knows %d of %d sites", d.Self(), d.CM.Size(), len(ds))
+			}
+			time.Sleep(2 * time.Millisecond)
+		}
+	}
+}
+
+// In a cluster small enough that every site probes every peer, a
+// heartbeat verdict removes a killed site from every roster within
+// MissLimit probe periods — not after the gossip layer's DeadAfter
+// rounds (6 s at the default 100 ms tick), which is all an accusation
+// would buy.
+func TestKilledSiteLeavesRostersByHeartbeat(t *testing.T) {
+	hb := checkpoint.Config{
+		HeartbeatEvery:   50 * time.Millisecond,
+		HeartbeatTimeout: 100 * time.Millisecond,
+		MissLimit:        3,
+	}
+	fab, ds := testCluster(t, 4, func(i int, cfg *daemon.Config) { cfg.Checkpoint = hb })
+	waitFullRosters(t, ds)
+	dead := ds[3].Self()
+	start := time.Now()
+	fab.KillSite("site-3")
+	ds[3].Kill()
+
+	bound := time.Duration(hb.MissLimit)*(hb.HeartbeatEvery+hb.HeartbeatTimeout) + 2*time.Second
+	for _, d := range ds[:3] {
+		for {
+			if _, known := d.CM.Lookup(dead); !known {
+				break
+			}
+			if time.Since(start) > bound {
+				t.Fatalf("site %v still lists the killed site after %v", d.Self(), bound)
+			}
+			time.Sleep(2 * time.Millisecond)
+		}
+	}
+}
+
 func TestCrashRecovery(t *testing.T) {
 	// Paper §2.2/§6: a crashed site's state is recovered from
 	// checkpoints; the program still completes with a correct result.

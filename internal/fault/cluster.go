@@ -27,11 +27,6 @@ type ClusterConfig struct {
 	// WorkUnit is the wall-clock span of one simulated Work unit
 	// (default 200µs).
 	WorkUnit time.Duration
-	// Gossip runs the cluster on the epidemic membership layer
-	// (internal/gossip): bounded digests instead of broadcast load
-	// reports and goodbyes, p2c help targeting, ring heartbeats. This
-	// is what lets chaos scenarios scale to 64+ sites.
-	Gossip bool
 }
 
 // Site is one daemon instance in a chaos cluster. A rejoin after a
@@ -108,7 +103,6 @@ func (c *Cluster) startSite(index, gen int) (*Site, error) {
 		Metrics:       true,
 		TraceCapacity: 65536,
 		Seed:          c.cfg.Seed*1000 + int64(index) + 1,
-		Gossip:        c.cfg.Gossip,
 	}
 	if c.cfg.Checkpoint {
 		cfg.Checkpoint.Interval = 150 * time.Millisecond

@@ -69,12 +69,6 @@ type Scenario struct {
 
 	// Checkpoint enables the crash-management stack.
 	Checkpoint bool `json:"checkpoint"`
-
-	// Gossip runs the cluster on the epidemic membership layer: load,
-	// joins, goodbyes and crash tombstones disseminate in bounded
-	// digests instead of broadcasts, which is what lets the churn
-	// scenarios scale past a handful of sites.
-	Gossip bool `json:"gossip,omitempty"`
 }
 
 // disruptive reports whether the scenario kills or isolates sites —
@@ -218,7 +212,6 @@ func Scenarios() []Scenario {
 			Desc:  "leaves, crashes, stalls and rejoins overlap at gossip scale — the paper's adaptive-cluster claim under concurrent churn",
 			Sites: 64, Primes: 60, Width: 8, Cost: 20,
 			Checkpoint: true,
-			Gossip:     true,
 			Steps: []Step{
 				{At: ms(250), Kind: StepLeave, Site: 4},
 				{At: ms(500), Kind: StepCrash, Site: 3},
@@ -281,7 +274,6 @@ func Run(sc Scenario, seed int64) (*Report, error) {
 		Seed:       seed,
 		Link:       sc.Link,
 		Checkpoint: sc.Checkpoint,
-		Gossip:     sc.Gossip,
 	})
 	if err != nil {
 		return nil, err

@@ -265,21 +265,25 @@ func (s *State) SeedPeer(info types.SiteInfo) {
 // sign-on contact may be the only site that knows a newcomer exists —
 // a joiner's own digests spread slowly right after sign-on, and a thin
 // client session may never gossip at all — so the newcomer's existence
-// is a rumor this site must spread, not old news.
-func (s *State) Announce(info types.SiteInfo) {
+// is a rumor this site must spread, not old news. Reports whether the
+// table had never held a row for the site: the caller then pushes the
+// rumor at once (Rumor).
+func (s *State) Announce(info types.SiteInfo) bool {
 	if !info.ID.Valid() || info.ID == s.self {
-		return
+		return false
 	}
+	_, held := s.rows[info.ID]
 	s.SeedPeer(info)
-	r, ok := s.rows[info.ID]
-	if !ok || Status(r.entry.Status).Tombstone() {
-		return
+	r := s.rows[info.ID]
+	if Status(r.entry.Status).Tombstone() {
+		return false
 	}
 	s.markHot(r)
+	return !held
 }
 
 // MarkGone tombstones a row on local authority — the checkpoint
-// heartbeat declared a crash, or a legacy broadcast goodbye arrived.
+// heartbeat of a site that probes every peer declared a crash.
 // Idempotent; a no-op for rows already tombstoned.
 func (s *State) MarkGone(id types.SiteID, crashed bool) {
 	if id == s.self {
@@ -341,7 +345,7 @@ func (s *State) Leave() ([]types.SiteID, *wire.GossipDigest) {
 	r.entry.OriginRound = s.round
 	s.markHot(r)
 	s.left = true
-	return s.pickPeers(s.cfg.Fanout), s.buildDigest()
+	return s.pickPeers(s.cfg.Fanout, types.InvalidSite), s.buildDigest()
 }
 
 // Tick advances one protocol round: refresh the own row, age the
@@ -357,7 +361,7 @@ func (s *State) Tick() (targets []types.SiteID, digest *wire.GossipDigest, event
 	self.lastHeard = s.round
 
 	events = s.age(events)
-	return s.pickPeers(s.cfg.Fanout), s.buildDigest(), events
+	return s.pickPeers(s.cfg.Fanout, types.InvalidSite), s.buildDigest(), events
 }
 
 // refreshLag is the expected number of rounds between fresher copies
@@ -499,6 +503,25 @@ func (s *State) SelfDigest() *wire.GossipDigest {
 	return d
 }
 
+// Rumor builds the immediate push for a site this table just learned
+// of (Announce reported it new): a digest carrying this site's row and
+// the newcomer's, bound for Fanout peers other than the newcomer, which
+// already holds the sign-on snapshot. Like SelfDigest it advances no
+// round, runs no aging, consumes no ride budget and leaves the
+// per-round dedup untouched; the row stays hot for the regular rounds.
+//
+//sdvm:deterministic
+func (s *State) Rumor(id types.SiteID) ([]types.SiteID, *wire.GossipDigest) {
+	d := s.SelfDigest()
+	if r, ok := s.rows[id]; ok {
+		d.Entries = append(d.Entries, r.entry)
+		if r.info.ID.Valid() {
+			d.Sites = append(d.Sites, r.info)
+		}
+	}
+	return s.pickPeers(s.cfg.Fanout, id), d
+}
+
 // include appends one row (and its routing info, if any) to d unless it
 // already rode this round's digest.
 //
@@ -515,22 +538,32 @@ func (s *State) include(d *wire.GossipDigest, r *row) {
 }
 
 // pickPeers samples up to n distinct routable, non-tombstone peers
-// uniformly from the row table. O(n) probes, never a roster sweep.
+// other than skip uniformly from the row table. O(n) probes, never a
+// roster sweep. A table of at most n candidates is taken whole instead
+// of sampled, so a small cluster reaches every peer every time.
 //
 //sdvm:deterministic
-func (s *State) pickPeers(n int) []types.SiteID {
+func (s *State) pickPeers(n int, skip types.SiteID) []types.SiteID {
 	if len(s.ids) <= 1 || n <= 0 {
 		return nil
 	}
 	out := make([]types.SiteID, 0, n)
+	candidates := len(s.ids) - 1 // every row but our own
+	if _, ok := s.rows[skip]; ok {
+		candidates--
+	}
+	if candidates <= n {
+		for _, id := range s.ids {
+			if s.target(id, skip) {
+				out = append(out, id)
+			}
+		}
+		return out
+	}
 	attempts := 4*n + 4
 	for i := 0; i < attempts && len(out) < n; i++ {
 		id := s.ids[s.rng.Intn(len(s.ids))]
-		if id == s.self {
-			continue
-		}
-		r := s.rows[id]
-		if Status(r.entry.Status).Tombstone() || !r.info.ID.Valid() {
+		if !s.target(id, skip) {
 			continue
 		}
 		dup := false
@@ -547,79 +580,12 @@ func (s *State) pickPeers(n int) []types.SiteID {
 	return out
 }
 
-// PickTwoChoices is the scheduler's targeted help selection: sample two
-// distinct alive candidates from the gossiped load table and return the
-// better donor — the one with the longer executable queue (ties by
-// load). This is the work-stealing dual of classic power-of-two-choices
-// placement: choosing the busier of two random donors spreads help
-// requests as evenly as placing work on the lighter of two random
-// servers. Departed and suspected sites are never candidates. rng is
-// caller-owned (the scheduler's seeded stream), keeping the decision
-// deterministic per site.
-//
-//sdvm:deterministic
-func (s *State) PickTwoChoices(rng *rand.Rand, exclude map[types.SiteID]bool) types.SiteID {
-	if len(s.ids) <= 1 {
-		return types.InvalidSite
-	}
-	var a, b *row
-	for i := 0; i < 16 && b == nil; i++ {
-		r := s.donor(s.ids[rng.Intn(len(s.ids))], exclude)
-		switch {
-		case r == nil:
-		case a == nil:
-			a = r
-		case r != a:
-			b = r
-		}
-	}
-	if a == nil {
-		// Unlucky probes (small cluster, most peers excluded): a
-		// bounded sweep from a random offset still finds a lone
-		// eligible donor without ever scanning a large roster.
-		start := rng.Intn(len(s.ids))
-		limit := len(s.ids)
-		if limit > 16 {
-			limit = 16
-		}
-		for i := 0; i < limit && a == nil; i++ {
-			a = s.donor(s.ids[(start+i)%len(s.ids)], exclude)
-		}
-	}
-	if a == nil {
-		return types.InvalidSite
-	}
-	if b == nil {
-		return a.entry.Site
-	}
-	if b.entry.QueueLen > a.entry.QueueLen ||
-		(b.entry.QueueLen == a.entry.QueueLen && b.entry.Load > a.entry.Load) {
-		return b.entry.Site
-	}
-	return a.entry.Site
-}
-
-// donor returns id's row if it is an eligible help donor — alive,
-// routable, not the local site, not excluded, and advertising queued
-// work — and nil otherwise. The queue check is what makes idle help
-// polling free at scale: when the gossiped load table shows an idle
-// cluster, the scheduler's beg round returns empty-handed without
-// sending a single message, instead of N idle sites hammering each
-// other with can't-help traffic every backoff period.
-//
-//sdvm:deterministic
-func (s *State) donor(id types.SiteID, exclude map[types.SiteID]bool) *row {
-	if id == s.self || exclude[id] {
-		return nil
-	}
+// target reports whether id may receive a digest: a routable,
+// non-tombstone peer other than this site and skip.
+func (s *State) target(id, skip types.SiteID) bool {
 	r := s.rows[id]
-	if Status(r.entry.Status) != StatusAlive || !r.info.ID.Valid() {
-		return nil
-	}
-	if r.entry.QueueLen <= 0 {
-		return nil
-	}
-	return r
+	return id != s.self && id != skip &&
+		!Status(r.entry.Status).Tombstone() && r.info.ID.Valid()
 }
 
 // fresher reports whether candidate (inc, st, originRound) strictly

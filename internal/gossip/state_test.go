@@ -2,7 +2,6 @@ package gossip
 
 import (
 	"fmt"
-	"math/rand"
 	"testing"
 
 	"repro/internal/types"
@@ -312,112 +311,56 @@ func TestMarkGoneIdempotent(t *testing.T) {
 	}
 }
 
-// TestPickTwoChoicesEligibility pins the candidate filter: departed,
-// suspected, excluded, unroutable and empty-queued sites are never
-// picked — even when the ineligible ones advertise the deepest queues —
-// and with two candidates the heavier queue wins.
-func TestPickTwoChoicesEligibility(t *testing.T) {
+// TestRumorPushesNewcomer pins the sign-on push: Announce reports a
+// row the table never held (and only such a row), and Rumor addresses
+// the newcomer's row to every other peer of a small table — never to
+// the newcomer itself or this site — without advancing the round.
+func TestRumorPushesNewcomer(t *testing.T) {
 	a := NewState(siteInfo(1), simConfig(1))
-	for i := 2; i <= 6; i++ {
-		a.SeedPeer(siteInfo(types.SiteID(i)))
+	a.SeedPeer(siteInfo(2))
+	a.SeedPeer(siteInfo(3))
+	if !a.Announce(siteInfo(4)) {
+		t.Fatal("Announce of a new site reported it already held")
 	}
-	// Sites 2 and 3 advertise modest queued work; the soon-poisoned
-	// sites 4–6 advertise far deeper queues, which a liveness-blind
-	// picker would chase.
-	a.HandleDigest(&wire.GossipDigest{From: 2, Round: 1, Entries: []wire.GossipEntry{
-		{Site: 2, Status: uint8(StatusAlive), OriginRound: 1, QueueLen: 1},
-		{Site: 3, Status: uint8(StatusAlive), OriginRound: 1, QueueLen: 1},
-		{Site: 4, Status: uint8(StatusAlive), OriginRound: 1, QueueLen: 70},
-		{Site: 5, Status: uint8(StatusAlive), OriginRound: 1, QueueLen: 80},
-		{Site: 6, Status: uint8(StatusAlive), OriginRound: 1, QueueLen: 90},
-	}})
-	a.MarkGone(4, true) // tombstone
-	// Suspect site 5 via a digest.
-	a.HandleDigest(&wire.GossipDigest{From: 2, Round: 2, Entries: []wire.GossipEntry{
-		{Site: 5, Incarnation: 0, Status: uint8(StatusSuspect), OriginRound: 1, QueueLen: 80},
-	}})
-	exclude := map[types.SiteID]bool{6: true}
-
-	rng := rand.New(rand.NewSource(7))
-	for i := 0; i < 200; i++ {
-		got := a.PickTwoChoices(rng, exclude)
-		switch got {
-		case 4, 5, 6, 1:
-			t.Fatalf("picked ineligible site %v", got)
-		case types.InvalidSite:
-			t.Fatal("no candidate found despite eligible peers")
-		}
+	if a.Announce(siteInfo(4)) || a.Announce(siteInfo(2)) {
+		t.Fatal("Announce of a held row reported it new")
+	}
+	targets, d := a.Rumor(4)
+	if len(targets) != 2 || targets[0] != 2 || targets[1] != 3 {
+		t.Fatalf("rumor targets %v, want [2 3]", targets)
+	}
+	if a.Round() != 0 || d.Round != 0 {
+		t.Fatalf("rumor advanced the round: state %d, digest %d", a.Round(), d.Round)
+	}
+	if len(d.Entries) != 2 || d.Entries[0].Site != 1 || d.Entries[1].Site != 4 ||
+		findInfo(d.Sites, 4) == nil {
+		t.Fatalf("rumor digest lacks the newcomer's routable row: %+v", d)
+	}
+	// A receiver that never heard of the newcomer learns it from the push.
+	b := NewState(siteInfo(2), simConfig(2))
+	b.SeedPeer(siteInfo(1))
+	_, events := b.HandleDigest(d)
+	joined := false
+	for _, ev := range events {
+		joined = joined || (ev.Kind == EventJoin && ev.Site == 4)
+	}
+	if !joined {
+		t.Fatalf("push did not introduce the newcomer: %+v", events)
 	}
 
-	// Bias: give site 3 a deep queue; it must win almost every sample
-	// against site 2's single queued frame.
-	a.HandleDigest(&wire.GossipDigest{From: 3, Round: 3, Entries: []wire.GossipEntry{
-		{Site: 3, Incarnation: 0, Status: uint8(StatusAlive), OriginRound: 50, QueueLen: 40},
-	}})
-	wins := 0
-	for i := 0; i < 400; i++ {
-		if a.PickTwoChoices(rng, exclude) == 3 {
-			wins++
+	// A large table samples Fanout distinct peers, still never the
+	// newcomer.
+	big := newSim(40).states[1]
+	big.Announce(siteInfo(41))
+	targets, _ = big.Rumor(41)
+	seen := map[types.SiteID]bool{}
+	for _, id := range targets {
+		if id == 1 || id == 41 || seen[id] {
+			t.Fatalf("bad rumor target %v in %v", id, targets)
 		}
+		seen[id] = true
 	}
-	if wins < 300 {
-		t.Fatalf("heavy-queue site won only %d/400 picks", wins)
-	}
-}
-
-// TestPickTwoChoicesBiasProperty is the seeded property test behind
-// targeted help requests: across seeds and thousands of rounds, picks
-// land on heavier queues with the power-of-two-choices bias and never
-// on departed, suspected, excluded or local sites — even though the
-// ineligible sites advertise the deepest queues in the cluster, which
-// is exactly what a bias-only implementation would chase.
-func TestPickTwoChoicesBiasProperty(t *testing.T) {
-	const n = 24
-	for _, seed := range []int64{1, 7, 42} {
-		st := NewState(siteInfo(1), simConfig(1))
-		entries := make([]wire.GossipEntry, 0, n-1)
-		for i := 2; i <= n; i++ {
-			st.SeedPeer(siteInfo(types.SiteID(i)))
-			entries = append(entries, wire.GossipEntry{
-				Site: types.SiteID(i), Status: uint8(StatusAlive),
-				OriginRound: 1, QueueLen: int32(i * 4),
-			})
-		}
-		st.HandleDigest(&wire.GossipDigest{From: 2, Round: 1, Entries: entries})
-		// Poison the top of the queue-depth order.
-		st.MarkGone(n, true)    // crashed
-		st.MarkGone(n-1, false) // signed off
-		st.HandleDigest(&wire.GossipDigest{From: 2, Round: 2, Entries: []wire.GossipEntry{
-			{Site: n - 2, Status: uint8(StatusSuspect), OriginRound: 1, QueueLen: (n - 2) * 4},
-		}})
-		exclude := map[types.SiteID]bool{n - 3: true}
-
-		rng := rand.New(rand.NewSource(seed))
-		counts := make(map[types.SiteID]int)
-		const rounds = 4000
-		for i := 0; i < rounds; i++ {
-			got := st.PickTwoChoices(rng, exclude)
-			if got == types.InvalidSite {
-				t.Fatalf("seed %d: no candidate despite eligible peers", seed)
-			}
-			if got == 1 || got > n-4 {
-				t.Fatalf("seed %d: picked ineligible site %v", seed, got)
-			}
-			counts[got]++
-		}
-		// Eligible donors are 2..n-4 with queue depth rising in id
-		// order. Split them in half: the heavy half must dominate.
-		mid := types.SiteID((2 + n - 4) / 2)
-		light, heavy := 0, 0
-		for id, c := range counts {
-			if id <= mid {
-				light += c
-			} else {
-				heavy += c
-			}
-		}
-		if heavy < 2*light {
-			t.Fatalf("seed %d: p2c bias too weak: heavy half %d picks, light half %d", seed, heavy, light)
-		}
+	if len(targets) != simConfig(1).Fanout {
+		t.Fatalf("rumor reached %d peers, want %d", len(targets), simConfig(1).Fanout)
 	}
 }

@@ -1431,9 +1431,6 @@ func (m *Manager) HandleMessage(msg *wire.Message) {
 		m.handleMemWrite(msg, p)
 	case *wire.MemMigrate:
 		m.handleMigrate(p)
-	case *wire.MemInvalidate:
-		m.dropReplicas(p.Addr)
-		_ = m.bus.Reply(msg, types.MgrMemory, &wire.Barrier{})
 	case *wire.MemInvalidateBatch:
 		for _, addr := range p.Addrs {
 			m.dropReplicas(addr)

@@ -220,7 +220,7 @@ func TestBroadcastReachesAllOthers(t *testing.T) {
 		t.Error("broadcast delivered to sender")
 	}))
 
-	if err := buses[0].Send(types.Broadcast, types.MgrCluster, types.MgrCluster, &wire.CrashNotice{Dead: 9}); err != nil {
+	if err := buses[0].Send(types.Broadcast, types.MgrCluster, types.MgrCluster, &wire.Barrier{Token: 9}); err != nil {
 		t.Fatal(err)
 	}
 	done := make(chan struct{})
@@ -430,7 +430,7 @@ func TestBroadcastSkipsDepartedPeer(t *testing.T) {
 	got := make(chan *wire.Message, 1)
 	buses[1].Register(types.MgrCluster, HandlerFunc(func(m *wire.Message) { got <- m }))
 
-	if err := buses[0].Send(types.Broadcast, types.MgrCluster, types.MgrCluster, &wire.LoadReport{}); err != nil {
+	if err := buses[0].Send(types.Broadcast, types.MgrCluster, types.MgrCluster, &wire.Barrier{}); err != nil {
 		t.Fatalf("broadcast over a departed peer errored: %v", err)
 	}
 	select {

@@ -60,8 +60,8 @@ type Manager struct {
 	io    *iomgr.Manager
 	pm    *program.Manager
 
-	// gsp, when set, replaces the per-tick LoadReport broadcast with one
-	// epidemic round and the goodbye broadcast with a gossip tombstone.
+	// gsp disseminates this site's statistics (one epidemic round per
+	// tick) and its sign-off tombstone.
 	gsp *gossip.Manager
 
 	interval time.Duration
@@ -83,8 +83,9 @@ type Manager struct {
 	once sync.Once
 }
 
-// New returns a site manager. interval is the load-report period.
-func New(bus *msgbus.Bus, cm *cluster.Manager, s *sched.Manager, e *exec.Manager,
+// New returns a site manager. interval is the statistics period, which
+// is also the gossip round.
+func New(bus *msgbus.Bus, cm *cluster.Manager, gsp *gossip.Manager, s *sched.Manager, e *exec.Manager,
 	mem *memory.Manager, io *iomgr.Manager, pm *program.Manager,
 	interval time.Duration, window int) *Manager {
 	if interval <= 0 {
@@ -96,6 +97,7 @@ func New(bus *msgbus.Bus, cm *cluster.Manager, s *sched.Manager, e *exec.Manager
 	m := &Manager{
 		bus:       bus,
 		cm:        cm,
+		gsp:       gsp,
 		sched:     s,
 		exec:      e,
 		mem:       mem,
@@ -115,14 +117,9 @@ func New(bus *msgbus.Bus, cm *cluster.Manager, s *sched.Manager, e *exec.Manager
 // nil registry answers with an empty snapshot.
 func (m *Manager) SetMetrics(reg *metrics.Registry) { m.reg = reg }
 
-// SetGossip switches load dissemination and the sign-off goodbye from
-// roster-wide broadcast onto the epidemic layer. Must be called before
-// Start; the gossip tick piggybacks on the statistics ticker, so gossip
-// needs no goroutine of its own.
-func (m *Manager) SetGossip(g *gossip.Manager) { m.gsp = g }
-
-// Start launches the statistics loop that refreshes and broadcasts this
-// site's load — the data peers use to aim help requests.
+// Start launches the statistics loop that refreshes this site's load
+// and runs one gossip round per tick — the data peers use to aim help
+// requests. Gossip needs no goroutine of its own.
 func (m *Manager) Start() {
 	m.mu.Lock()
 	m.lastTick = time.Now()
@@ -151,9 +148,8 @@ func (m *Manager) Close() {
 	m.wg.Wait()
 }
 
-// tick recomputes the load over the last interval and disseminates it:
-// one bounded gossip round when the epidemic layer is wired, a
-// roster-wide LoadReport broadcast in legacy mode.
+// tick recomputes the load over the last interval and disseminates it
+// in one bounded gossip round.
 func (m *Manager) tick() {
 	now := time.Now()
 	busy := m.exec.BusyNanos()
@@ -176,11 +172,7 @@ func (m *Manager) tick() {
 	queueLen := int32(m.sched.QueueLen())
 	programs := int32(len(m.pm.Programs()))
 	m.cm.UpdateSelf(load, queueLen, programs)
-	if m.gsp != nil {
-		m.gsp.Tick(load, queueLen, programs)
-		return
-	}
-	m.cm.BroadcastLoad()
+	m.gsp.Tick(load, queueLen, programs)
 }
 
 // Load returns the most recent load estimate in [0,1].
@@ -233,7 +225,7 @@ func (m *Manager) PickSuccessor() types.SiteID {
 // local part of the global memory to other sites, then announce the
 // departure. The caller closes the bus and network afterwards.
 func (m *Manager) SignOff() error {
-	// 1. Stop the statistics loop; stale load reports would attract
+	// 1. Stop the statistics loop; stale load statistics would attract
 	//    help requests to a dying site.
 	m.Close()
 
@@ -254,7 +246,7 @@ func (m *Manager) SignOff() error {
 	m.exec.Wait()
 	if successor == types.InvalidSite {
 		// Last site standing: nothing to relocate to.
-		m.goodbye()
+		m.gsp.Leave()
 		m.io.CloseAll()
 		return nil
 	}
@@ -271,22 +263,11 @@ func (m *Manager) SignOff() error {
 		return err
 	}
 
-	// 5. Say goodbye.
-	m.goodbye()
+	// 5. Say goodbye: a Left tombstone pushed to a gossip fanout's worth
+	//    of peers; the epidemic carries it from there in O(log N) rounds.
+	m.gsp.Leave()
 	m.io.CloseAll()
 	return nil
-}
-
-// goodbye announces the departure: a Left tombstone pushed to a gossip
-// fanout's worth of peers when the epidemic layer is wired (it carries
-// the sign-off from there in O(log N) rounds), a roster-wide
-// SignOffNotice broadcast in legacy mode.
-func (m *Manager) goodbye() {
-	if m.gsp != nil {
-		m.gsp.Leave()
-		return
-	}
-	m.cm.AnnounceSignOff()
 }
 
 // Successor returns the site SignOff picked to inherit local state
@@ -333,9 +314,12 @@ func (m *Manager) HandleMessage(msg *wire.Message) {
 	}
 }
 
-// QueryStatus fetches a remote site's status snapshot.
+// QueryStatus fetches a remote site's status snapshot. The gossip
+// introduction ahead of the request lets a peer that never heard of this
+// site (a fresh joiner, before the epidemic spread its row) route the
+// reply.
 func (m *Manager) QueryStatus(site types.SiteID) (*wire.StatusReply, error) {
-	m.introduce(site)
+	m.gsp.Introduce(site)
 	reply, err := m.bus.Request(site, types.MgrSite, types.MgrSite,
 		&wire.StatusQuery{}, 3*time.Second)
 	if err != nil {
@@ -348,21 +332,10 @@ func (m *Manager) QueryStatus(site types.SiteID) (*wire.StatusReply, error) {
 	return sr, nil
 }
 
-// introduce pushes this site's own gossip row to the peer ahead of a
-// request on the same FIFO connection: a fresh joiner can query the
-// whole cluster immediately, before the epidemic has spread its row —
-// without the introduction, a peer that never heard of this site could
-// not route the reply and the request would time out.
-func (m *Manager) introduce(site types.SiteID) {
-	if m.gsp != nil {
-		m.gsp.Introduce(site)
-	}
-}
-
 // QueryMetrics fetches a remote site's metrics snapshot. Querying the
 // local site works too (the bus loops it back).
 func (m *Manager) QueryMetrics(site types.SiteID) (*wire.MetricsReply, error) {
-	m.introduce(site)
+	m.gsp.Introduce(site)
 	reply, err := m.bus.Request(site, types.MgrSite, types.MgrSite,
 		&wire.MetricsQuery{}, 3*time.Second)
 	if err != nil {

@@ -61,7 +61,7 @@ func TestLoadReportsPropagate(t *testing.T) {
 	}
 	// Site 1 must observe nonzero statistics about site 0 while the
 	// program runs (load or queue length).
-	waitFor(t, "load report visible", func() bool {
+	waitFor(t, "gossiped statistics visible", func() bool {
 		info, ok := ds[1].CM.Lookup(ds[0].Self())
 		return ok && (info.Load > 0 || info.QueueLen > 0 || info.Programs > 0)
 	})
@@ -103,10 +103,8 @@ func TestPickSuccessorPrefersIdle(t *testing.T) {
 	// with the measured one (idle on both) before PickSuccessor reads it.
 	ds[1].Site.Close()
 	ds[2].Site.Close()
-	ds[1].CM.UpdateSelf(0.9, 5, 1)
-	ds[1].CM.BroadcastLoad()
-	ds[2].CM.UpdateSelf(0.0, 0, 0)
-	ds[2].CM.BroadcastLoad()
+	ds[1].Gossip.Tick(0.9, 5, 1)
+	ds[2].Gossip.Tick(0.0, 0, 0)
 	waitFor(t, "loads visible", func() bool {
 		a, ok1 := ds[0].CM.Lookup(ds[1].Self())
 		b, ok2 := ds[0].CM.Lookup(ds[2].Self())
@@ -242,7 +240,7 @@ func TestMetricsAggregationThreeSites(t *testing.T) {
 			totals[s.Name] += s.Value
 		}
 		// Every member — bootstrapper and joiners alike — has at least
-		// sent bus traffic (sign-on, load reports).
+		// sent bus traffic (sign-on, gossip digests).
 		if perSite["bus.sent_msgs"] == 0 {
 			t.Fatalf("site %v reports no bus traffic: %v", d.Self(), perSite["bus.sent_msgs"])
 		}

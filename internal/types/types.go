@@ -202,7 +202,7 @@ type SiteInfo struct {
 	Platform PlatformID // simulated platform type
 	Speed    float64    // relative processing speed (1.0 = reference)
 
-	// Statistics, refreshed by load reports; used to pick help-request
+	// Statistics, refreshed by gossiped rows; used to pick help-request
 	// targets (ask a site that is probably not idle itself).
 	Load       float64 // recent work ratio in [0,1]
 	QueueLen   int32   // executable+ready microframes queued

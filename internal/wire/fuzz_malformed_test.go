@@ -2,6 +2,7 @@ package wire
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -42,14 +43,21 @@ func le32(v uint32) []byte {
 }
 
 // malformedSeeds returns the corpus: one valid encoding of every
-// registered kind, plus hand-built messages whose length prefixes claim
-// counts worth gigabytes while carrying almost no bytes.
+// registered kind, one old body under every retired kind, plus
+// hand-built messages whose length prefixes claim counts worth
+// gigabytes while carrying almost no bytes.
 func malformedSeeds() map[string][]byte {
 	seeds := make(map[string][]byte)
 	for _, p := range samplePayloads() {
 		m := &Message{Src: 1, Dst: 2, SrcMgr: types.MgrScheduling,
 			DstMgr: types.MgrMemory, Seq: 9, Payload: p}
 		seeds[fmt.Sprintf("valid-kind-%d", p.Kind())] = m.EncodeBytes()
+	}
+	for _, r := range retiredPayloads() {
+		name := fmt.Sprintf("retired-kind-%d", r.kind)
+		if _, dup := seeds[name]; !dup {
+			seeds[name] = rawMsg(uint16(r.kind), r.body)
+		}
 	}
 	// MemMigrate: object count 0x0FFFFFFF × 32-byte records ≈ 8 GiB.
 	seeds["memmigrate-huge-count"] = rawMsg(uint16(KindMemMigrate), le32(0x0FFFFFFF))
@@ -134,6 +142,19 @@ func FuzzDecodeMalformed(f *testing.F) {
 			t.Fatalf("decoded %d-byte input re-encodes to %d bytes: decoder invented data", len(data), n)
 		}
 	})
+}
+
+// TestSignOnReplyHugeClusterSeed pins what the signonreply-huge-cluster
+// seed exercises: the cluster list's length prefix claims 2^28 entries
+// behind zero remaining bytes, so decoding must fail at the SliceLen
+// guard on that count — not earlier, by running out of bytes while
+// reading some other field, which would leave the guard untested.
+func TestSignOnReplyHugeClusterSeed(t *testing.T) {
+	_, err := DecodeBytes(malformedSeeds()["signonreply-huge-cluster"])
+	var de *decodeError
+	if !errors.As(err, &de) || de.what != "cluster list count" {
+		t.Fatalf("decode error = %v, want the cluster list count check", err)
+	}
 }
 
 // TestWriteMalformedCorpus regenerates the committed seed corpus under

@@ -16,6 +16,9 @@ func FuzzDecode(f *testing.F) {
 			DstMgr: types.MgrMemory, Seq: 9, Payload: p}
 		f.Add(m.EncodeBytes())
 	}
+	for _, r := range retiredPayloads() {
+		f.Add(rawMsg(uint16(r.kind), r.body))
+	}
 	f.Add([]byte{})
 	f.Add([]byte{0xFF, 0xFF, 0xFF})
 
@@ -44,12 +47,16 @@ func FuzzDecode(f *testing.F) {
 // encoding of every registered kind (TestSamplePayloadsCoverAllKinds in
 // message_test.go pins that completeness), so the fuzzer starts from a
 // valid instance of each codec rather than having to discover the
-// formats from zero.
+// formats from zero, and with the old bodies of every retired kind,
+// which no factory may accept.
 func FuzzPayloadRoundTrip(f *testing.F) {
 	for _, p := range samplePayloads() {
 		w := NewWriter(0)
 		p.MarshalWire(w)
 		f.Add(uint16(p.Kind()), append([]byte(nil), w.Bytes()...))
+	}
+	for _, r := range retiredPayloads() {
+		f.Add(uint16(r.kind), r.body)
 	}
 	f.Add(uint16(0), []byte{})
 	f.Add(uint16(9999), []byte{1, 2, 3})

@@ -10,16 +10,18 @@ import (
 type Kind uint16
 
 // Payload kinds, grouped by owning manager. The numbering is part of the
-// wire format; append only.
+// wire format; append only. A retired kind keeps its number as a blank
+// placeholder so every later kind keeps its value; decoding a retired
+// kind fails like any unknown kind.
 const (
 	KindInvalid Kind = iota
 
 	// Cluster manager (sign-on, cluster list, id allocation, liveness).
 	KindSignOnRequest
 	KindSignOnReply
-	KindSiteAnnounce
-	KindSignOffNotice
-	KindLoadReport
+	_ // 3: retired (broadcast site announcement)
+	_ // 4: retired (broadcast sign-off notice)
+	_ // 5: retired (broadcast load report)
 	KindIDBlockRequest
 	KindIDBlockReply
 	KindPing
@@ -59,9 +61,9 @@ const (
 	// Checkpoint / crash management.
 	KindCheckpointStore
 	KindCheckpointAck
-	KindCrashNotice
-	KindRecoverRequest
-	KindRecoverReply
+	_ // 33: retired (broadcast crash notice)
+	_ // 34: retired (pull-recovery request)
+	_ // 35: retired (pull-recovery reply)
 
 	// Generic.
 	KindError
@@ -81,10 +83,9 @@ const (
 	KindInputRequest
 	KindInputReply
 
-	// Attraction memory read replication (COMA copies, paper §4: the
-	// memory object "can then migrate or even be copied to other
-	// sites").
-	KindMemInvalidate
+	// 44: retired (un-batched read-replica invalidation, superseded by
+	// KindMemInvalidateBatch).
+	_
 
 	// Cluster-wide observability (paper §4: the site manager "provides
 	// the functionality to query the status of the local site").
@@ -123,9 +124,6 @@ var kindNames = map[Kind]string{
 	KindInvalid:            "invalid",
 	KindSignOnRequest:      "sign-on-request",
 	KindSignOnReply:        "sign-on-reply",
-	KindSiteAnnounce:       "site-announce",
-	KindSignOffNotice:      "sign-off-notice",
-	KindLoadReport:         "load-report",
 	KindIDBlockRequest:     "id-block-request",
 	KindIDBlockReply:       "id-block-reply",
 	KindPing:               "ping",
@@ -153,9 +151,6 @@ var kindNames = map[Kind]string{
 	KindProgramInfo:        "program-info",
 	KindCheckpointStore:    "checkpoint-store",
 	KindCheckpointAck:      "checkpoint-ack",
-	KindCrashNotice:        "crash-notice",
-	KindRecoverRequest:     "recover-request",
-	KindRecoverReply:       "recover-reply",
 	KindError:              "error",
 	KindBarrier:            "barrier",
 	KindUsageQuery:         "usage-query",
@@ -164,7 +159,6 @@ var kindNames = map[Kind]string{
 	KindStatusReply:        "status-reply",
 	KindInputRequest:       "input-request",
 	KindInputReply:         "input-reply",
-	KindMemInvalidate:      "mem-invalidate",
 	KindMetricsQuery:       "metrics-query",
 	KindMetricsReply:       "metrics-reply",
 	KindMemInvalidateBatch: "mem-invalidate-batch",

@@ -2,7 +2,9 @@ package wire
 
 import (
 	"errors"
+	"fmt"
 	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/types"
@@ -27,10 +29,7 @@ func samplePayloads() []Payload {
 
 	return []Payload{
 		&SignOnRequest{PhysAddr: "10.1.2.3:9999", Platform: 5, Speed: 2.5},
-		&SignOnReply{Assigned: 9, Gossip: true, Cluster: sites},
-		&SiteAnnounce{Sites: sites},
-		&SignOffNotice{Leaving: 4},
-		&LoadReport{Site: 2, Load: 0.75, QueueLen: 10, Programs: 2},
+		&SignOnReply{Assigned: 9, Cluster: sites},
 		&IDBlockRequest{Want: 16},
 		&IDBlockReply{First: 100, Count: 16},
 		&Ping{Nonce: 1234567},
@@ -49,7 +48,6 @@ func samplePayloads() []Payload {
 		&MemWriteAck{OK: true},
 		&MemWriteAck{OK: false, Redirect: 3},
 		&MemMigrate{Objects: []MemObject{{Addr: addr, Data: []byte{5}, Version: 1}}},
-		&MemInvalidate{Addr: addr},
 		&MemInvalidateBatch{Addrs: []types.GlobalAddr{addr, {Home: 4, Local: 12}}},
 		&HomeUpdate{Addr: addr, Owner: 8},
 		&FrameRelocate{Frames: []*Microframe{frame, NewMicroframe(addr, tid, 0)}},
@@ -68,10 +66,6 @@ func samplePayloads() []Payload {
 		&ProgramInfo{Known: true, Terminated: false, Register: ProgramRegister{Program: prog, CodeHome: 1, Frontend: 1, Name: "p"}},
 		&CheckpointStore{Program: prog, Epoch: 2, Origin: 3, Frames: []*Microframe{frame}, Objects: []MemObject{{Addr: addr, Data: []byte{1}}}},
 		&CheckpointAck{Program: prog, Epoch: 2},
-		&CrashNotice{Dead: 5},
-		&RecoverRequest{Program: prog, Dead: 5},
-		&RecoverReply{Found: true, Epoch: 2, Frames: []*Microframe{frame}, Objects: []MemObject{{Addr: addr}}},
-		&RecoverReply{Found: false},
 		&ErrorReply{Code: ErrCodeNoSuchFrame, Message: "gone"},
 		&Barrier{Token: 55},
 		&UsageQuery{Program: prog},
@@ -110,6 +104,60 @@ func samplePayloads() []Payload {
 	}
 }
 
+// retiredPayload is a message body framed under a retired kind number.
+type retiredPayload struct {
+	kind Kind
+	body []byte
+}
+
+// retiredPayloads returns, for every retired kind, the bodies an older
+// peer framed under it — the encodings the deleted payload types wrote,
+// one per sample those types had. The kind numbers stay reserved so
+// every live kind keeps its value; decoding any of them must fail as an
+// unknown kind. The fuzz targets seed from these too.
+func retiredPayloads() []retiredPayload {
+	enc := func(f func(w *Writer)) []byte {
+		w := NewWriter(0)
+		f(w)
+		return append([]byte(nil), w.Bytes()...)
+	}
+	prog := types.MakeProgramID(3, 7)
+	addr := types.GlobalAddr{Home: 2, Local: 99}
+	site := types.SiteInfo{ID: 2, PhysAddr: "inproc-2", Platform: 2, Speed: 1.7}
+	frame := NewMicroframe(addr, types.ThreadID{Program: prog, Index: 4}, 1)
+	return []retiredPayload{
+		{3, enc(func(w *Writer) { w.Uint32(1); marshalSiteInfo(w, &site) })}, // site announcement
+		{4, enc(func(w *Writer) { w.SiteID(4) })},                            // sign-off notice
+		{5, enc(func(w *Writer) { // load report
+			w.SiteID(2)
+			w.Float64(0.75)
+			w.Int32(10)
+			w.Int32(2)
+		})},
+		{33, enc(func(w *Writer) { w.SiteID(5) })},                    // crash notice
+		{34, enc(func(w *Writer) { w.ProgramID(prog); w.SiteID(5) })}, // recovery request
+		{35, enc(func(w *Writer) { // recovery reply, found
+			w.Bool(true)
+			w.Uint64(2)
+			w.Uint32(1)
+			frame.MarshalWire(w)
+			w.Uint32(0)
+		})},
+		{35, enc(func(w *Writer) { w.Bool(false); w.Uint64(0); w.Uint32(0); w.Uint32(0) })}, // recovery reply, not found
+		{44, enc(func(w *Writer) { w.Addr(addr) })},                                         // un-batched invalidation
+	}
+}
+
+// retired reports whether k is a retired kind number.
+func retired(k Kind) bool {
+	for _, r := range retiredPayloads() {
+		if r.kind == k {
+			return true
+		}
+	}
+	return false
+}
+
 // TestSamplePayloadsCoverAllKinds pins the property the fuzz seeds rely
 // on: samplePayloads produces at least one instance of every registered
 // kind, so FuzzPayloadRoundTrip and the round-trip tests cover the
@@ -121,8 +169,32 @@ func TestSamplePayloadsCoverAllKinds(t *testing.T) {
 		seen[p.Kind()] = true
 	}
 	for k := KindInvalid + 1; k < kindCount; k++ {
-		if !seen[k] {
+		if !seen[k] && !retired(k) {
 			t.Errorf("samplePayloads has no instance of kind %v", k)
+		}
+	}
+}
+
+// TestRetiredKindsRejected pins the reservation: a retired kind number
+// has no payload, no name, and both decoders reject a message framed
+// under it as an unknown kind — never as some live payload that took
+// its number over.
+func TestRetiredKindsRejected(t *testing.T) {
+	dec := NewDecoder()
+	for _, r := range retiredPayloads() {
+		if p := NewPayload(r.kind); p != nil {
+			t.Errorf("retired kind %d decodes as %T", r.kind, p)
+		}
+		if got, want := r.kind.String(), fmt.Sprintf("kind(%d)", r.kind); got != want {
+			t.Errorf("retired kind %d is named %q", r.kind, got)
+		}
+		buf := rawMsg(uint16(r.kind), r.body)
+		_, err := DecodeBytes(buf)
+		if err == nil || !errors.Is(err, types.ErrBadMessage) || !strings.Contains(err.Error(), "unknown payload kind") {
+			t.Errorf("retired kind %d: Decode error %v, want unknown payload kind", r.kind, err)
+		}
+		if _, err := dec.Decode(buf); err != errUnknownKind {
+			t.Errorf("retired kind %d: Decoder error %v, want %v", r.kind, err, errUnknownKind)
 		}
 	}
 }
@@ -214,7 +286,7 @@ func TestKindStringsUnique(t *testing.T) {
 
 func TestAllKindsRegistered(t *testing.T) {
 	for k := KindInvalid + 1; k < kindCount; k++ {
-		if NewPayload(k) == nil {
+		if NewPayload(k) == nil && !retired(k) {
 			t.Errorf("kind %v has no registered factory", k)
 		}
 	}

@@ -9,9 +9,6 @@ import "repro/internal/types"
 func init() {
 	register(KindSignOnRequest, func() Payload { return &SignOnRequest{} })
 	register(KindSignOnReply, func() Payload { return &SignOnReply{} })
-	register(KindSiteAnnounce, func() Payload { return &SiteAnnounce{} })
-	register(KindSignOffNotice, func() Payload { return &SignOffNotice{} })
-	register(KindLoadReport, func() Payload { return &LoadReport{} })
 	register(KindIDBlockRequest, func() Payload { return &IDBlockRequest{} })
 	register(KindIDBlockReply, func() Payload { return &IDBlockReply{} })
 	register(KindPing, func() Payload { return &Ping{} })
@@ -45,10 +42,6 @@ func init() {
 
 	register(KindCheckpointStore, func() Payload { return &CheckpointStore{} })
 	register(KindCheckpointAck, func() Payload { return &CheckpointAck{} })
-	register(KindCrashNotice, func() Payload { return &CrashNotice{} })
-	register(KindRecoverRequest, func() Payload { return &RecoverRequest{} })
-	//sdvmlint:allow wiredispatch -- pull-path reply: production recovery is push-based (the checkpoint holder restores); the pull protocol is exercised by the recovery tests
-	register(KindRecoverReply, func() Payload { return &RecoverReply{} })
 
 	register(KindError, func() Payload { return &ErrorReply{} })
 	register(KindBarrier, func() Payload { return &Barrier{} })
@@ -83,13 +76,9 @@ func (p *SignOnRequest) UnmarshalWire(r *Reader) {
 }
 
 // SignOnReply assigns the new site its unique logical id and a snapshot of
-// the current cluster composition. Gossip reports the cluster's
-// dissemination mode: membership is a cluster-wide property, so the
-// joiner adopts whatever the contact reports instead of trusting its own
-// configuration.
+// the current cluster composition.
 type SignOnReply struct {
 	Assigned types.SiteID
-	Gossip   bool
 	Cluster  []types.SiteInfo
 }
 
@@ -97,7 +86,6 @@ func (*SignOnReply) Kind() Kind { return KindSignOnReply }
 
 func (p *SignOnReply) MarshalWire(w *Writer) {
 	w.SiteID(p.Assigned)
-	w.Bool(p.Gossip)
 	w.Uint32(uint32(len(p.Cluster)))
 	for i := range p.Cluster {
 		marshalSiteInfo(w, &p.Cluster[i])
@@ -106,72 +94,11 @@ func (p *SignOnReply) MarshalWire(w *Writer) {
 
 func (p *SignOnReply) UnmarshalWire(r *Reader) {
 	p.Assigned = r.SiteID()
-	p.Gossip = r.Bool()
 	n := r.SliceLen(siteInfoWireSize, "cluster list")
 	p.Cluster = grow(p.Cluster, n)
 	for i := 0; i < n && r.Err() == nil; i++ {
 		p.Cluster[i] = unmarshalSiteInfo(r)
 	}
-}
-
-// SiteAnnounce propagates knowledge of a site "by and by" (paper §3.4):
-// whenever two sites talk, they can piggyback entries the peer may lack.
-type SiteAnnounce struct {
-	Sites []types.SiteInfo
-}
-
-func (*SiteAnnounce) Kind() Kind { return KindSiteAnnounce }
-
-func (p *SiteAnnounce) MarshalWire(w *Writer) {
-	w.Uint32(uint32(len(p.Sites)))
-	for i := range p.Sites {
-		marshalSiteInfo(w, &p.Sites[i])
-	}
-}
-
-func (p *SiteAnnounce) UnmarshalWire(r *Reader) {
-	n := r.SliceLen(siteInfoWireSize, "announce list")
-	p.Sites = grow(p.Sites, n)
-	for i := 0; i < n && r.Err() == nil; i++ {
-		p.Sites[i] = unmarshalSiteInfo(r)
-	}
-}
-
-// SignOffNotice announces a controlled sign-off (paper §3.4): after
-// relocating its frames and memory the leaving site tells the cluster.
-type SignOffNotice struct {
-	Leaving types.SiteID
-}
-
-func (*SignOffNotice) Kind() Kind { return KindSignOffNotice }
-
-func (p *SignOffNotice) MarshalWire(w *Writer) { w.SiteID(p.Leaving) }
-
-func (p *SignOffNotice) UnmarshalWire(r *Reader) { p.Leaving = r.SiteID() }
-
-// LoadReport refreshes a site's statistics in peers' cluster lists; the
-// cluster manager uses these to choose help-request targets (paper §4).
-type LoadReport struct {
-	Site     types.SiteID
-	Load     float64
-	QueueLen int32
-	Programs int32
-}
-
-func (*LoadReport) Kind() Kind { return KindLoadReport }
-
-func (p *LoadReport) MarshalWire(w *Writer) {
-	w.SiteID(p.Site)
-	w.Float64(p.Load)
-	w.Int32(p.QueueLen)
-	w.Int32(p.Programs)
-}
-
-func (p *LoadReport) UnmarshalWire(r *Reader) {
-	p.Site = r.SiteID()
-	p.Load = r.Float64()
-	p.QueueLen = r.Int32()
-	p.Programs = r.Int32()
 }
 
 // IDBlockRequest asks an id server for a contingent of free logical ids
@@ -789,75 +716,6 @@ func (p *CheckpointAck) UnmarshalWire(r *Reader) {
 	p.Epoch = r.Uint64()
 }
 
-// CrashNotice broadcasts a detected crash so every site can drop the dead
-// site from its cluster list and start recovery if it holds a checkpoint.
-type CrashNotice struct {
-	Dead types.SiteID
-}
-
-func (*CrashNotice) Kind() Kind { return KindCrashNotice }
-
-func (p *CrashNotice) MarshalWire(w *Writer) { w.SiteID(p.Dead) }
-
-func (p *CrashNotice) UnmarshalWire(r *Reader) { p.Dead = r.SiteID() }
-
-// RecoverRequest asks a checkpoint site to restore the state a dead site
-// held for a program.
-type RecoverRequest struct {
-	Program types.ProgramID
-	Dead    types.SiteID
-}
-
-func (*RecoverRequest) Kind() Kind { return KindRecoverRequest }
-
-func (p *RecoverRequest) MarshalWire(w *Writer) {
-	w.ProgramID(p.Program)
-	w.SiteID(p.Dead)
-}
-
-func (p *RecoverRequest) UnmarshalWire(r *Reader) {
-	p.Program = r.ProgramID()
-	p.Dead = r.SiteID()
-}
-
-// RecoverReply carries the recovered state.
-type RecoverReply struct {
-	Found   bool
-	Epoch   uint64
-	Frames  []*Microframe
-	Objects []MemObject
-}
-
-func (*RecoverReply) Kind() Kind { return KindRecoverReply }
-
-func (p *RecoverReply) MarshalWire(w *Writer) {
-	w.Bool(p.Found)
-	w.Uint64(p.Epoch)
-	w.Uint32(uint32(len(p.Frames)))
-	for _, f := range p.Frames {
-		f.MarshalWire(w)
-	}
-	w.Uint32(uint32(len(p.Objects)))
-	for i := range p.Objects {
-		p.Objects[i].marshal(w)
-	}
-}
-
-func (p *RecoverReply) UnmarshalWire(r *Reader) {
-	p.Found = r.Bool()
-	p.Epoch = r.Uint64()
-	nf := r.SliceLen(microframeWireSize, "recover frames")
-	p.Frames = growFrames(p.Frames, nf)
-	for i := 0; i < nf && r.Err() == nil; i++ {
-		p.Frames[i].UnmarshalWire(r)
-	}
-	no := r.SliceLen(memObjectWireSize, "recover objects")
-	p.Objects = grow(p.Objects, no)
-	for i := 0; i < no && r.Err() == nil; i++ {
-		p.Objects[i].unmarshal(r)
-	}
-}
-
 // ---------------------------------------------------------------------------
 // Generic payloads.
 
@@ -948,7 +806,6 @@ func init() {
 	register(KindStatusReply, func() Payload { return &StatusReply{} })
 	register(KindInputRequest, func() Payload { return &InputRequest{} })
 	register(KindInputReply, func() Payload { return &InputReply{} })
-	register(KindMemInvalidate, func() Payload { return &MemInvalidate{} })
 	register(KindMemInvalidateBatch, func() Payload { return &MemInvalidateBatch{} })
 	register(KindGossipDigest, func() Payload { return &GossipDigest{} })
 	register(KindGossipDelta, func() Payload { return &GossipDelta{} })
@@ -956,13 +813,12 @@ func init() {
 
 // ---------------------------------------------------------------------------
 // Gossip payloads (internal/gossip): epidemic membership & load
-// dissemination. The digest/delta pair replaces the broadcast
-// LoadReport/SignOffNotice paths on large clusters — every send is
-// O(fanout), never O(cluster).
+// dissemination, the only path by which joins, sign-offs, crashes and
+// load statistics spread — every send is O(fanout), never O(cluster).
 
 // GossipEntry is one row of a site's membership view: who the row is
 // about, how alive the sender believes it is, and the load vector the
-// scheduler's power-of-two-choices targeting samples from. Incarnation
+// cluster list's help-target scan reads. Incarnation
 // numbers implement SWIM-style refutation: only the subject site may
 // bump its own incarnation, so a higher incarnation always wins a merge
 // and a falsely suspected site can overrule its accusers.
@@ -1160,19 +1016,6 @@ func (p *UsageReply) UnmarshalWire(r *Reader) {
 		p.Accounts[i].unmarshal(r)
 	}
 }
-
-// MemInvalidate tells sites holding read copies of an object that it
-// changed: drop the copy, re-fetch on next use (write-invalidate
-// coherence for COMA read replication).
-type MemInvalidate struct {
-	Addr types.GlobalAddr
-}
-
-func (*MemInvalidate) Kind() Kind { return KindMemInvalidate }
-
-func (p *MemInvalidate) MarshalWire(w *Writer) { w.Addr(p.Addr) }
-
-func (p *MemInvalidate) UnmarshalWire(r *Reader) { p.Addr = r.Addr() }
 
 // MemInvalidateBatch carries every address one replica holder must drop
 // in a single round-trip. The owner groups invalidations per holder site

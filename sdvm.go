@@ -141,15 +141,6 @@ type Options struct {
 	// HeartbeatEvery enables crash detection (0 = off).
 	HeartbeatEvery time.Duration
 
-	// Gossip replaces broadcast membership and load dissemination with
-	// the epidemic layer (DESIGN.md §10): bounded digests to a few
-	// random peers per tick, SWIM suspicion/refutation, and targeted
-	// power-of-two-choices help requests. The mode is a cluster
-	// property: Bootstrap sets it for the whole cluster, Join ignores
-	// this flag and adopts whatever the sign-on reply reports.
-	// Recommended beyond a few dozen sites.
-	Gossip bool
-
 	// TraceCapacity enables the per-site event tracer with a ring of
 	// this many events (0 = off); see Site.Daemon.Trace and the trace
 	// package — the observable form of the paper's Figures 4/5.
@@ -203,7 +194,6 @@ func (o Options) daemonConfig() (daemon.Config, error) {
 		WorkModel:   model,
 		WorkUnit:    o.WorkUnit,
 		CompileCost: o.CompileCost,
-		Gossip:      o.Gossip,
 		Checkpoint: checkpoint.Config{
 			Interval:       o.CheckpointEvery,
 			HeartbeatEvery: o.HeartbeatEvery,
