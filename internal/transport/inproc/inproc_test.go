@@ -237,3 +237,154 @@ func TestZeroLatencyFastPath(t *testing.T) {
 		t.Errorf("zero-profile round trip = %v, want < 2ms", perRT)
 	}
 }
+
+func TestPipeKeepsOrderAndBlocksWhenFull(t *testing.T) {
+	f := New(LinkProfile{})
+	defer f.Close()
+	l, _ := f.Listen("a")
+	c, err := f.Dial("a")
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := l.Accept()
+	if err != nil {
+		t.Fatal(err)
+	}
+	// An idle link reserves no queue storage.
+	if ring := c.(*endpoint).out.ring; ring != nil {
+		t.Fatalf("idle link holds %d slots", len(ring))
+	}
+	for i := 0; i < pipeDepth; i++ {
+		if err := c.Send([]byte(fmt.Sprint(i))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	blocked := make(chan error, 1)
+	go func() { blocked <- c.Send([]byte("overflow")) }()
+	select {
+	case err := <-blocked:
+		t.Fatalf("send into a full pipe returned %v, want it to block", err)
+	case <-time.After(20 * time.Millisecond):
+	}
+	for i := 0; i < pipeDepth; i++ {
+		m, err := s.Recv()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, want := string(m), fmt.Sprint(i); got != want {
+			t.Fatalf("datagram %d = %q, want %q", i, got, want)
+		}
+	}
+	if err := <-blocked; err != nil {
+		t.Fatalf("blocked send: %v", err)
+	}
+	if m, err := s.Recv(); err != nil || string(m) != "overflow" {
+		t.Fatalf("last datagram = %q, %v", m, err)
+	}
+}
+
+func TestBlockedSendFailsOnClose(t *testing.T) {
+	f := New(LinkProfile{})
+	defer f.Close()
+	l, _ := f.Listen("a")
+	c, err := f.Dial("a")
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := l.Accept()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < pipeDepth; i++ {
+		if err := c.Send([]byte("x")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	blocked := make(chan error, 1)
+	go func() { blocked <- c.Send([]byte("x")) }()
+	time.Sleep(10 * time.Millisecond)
+	s.Close()
+	select {
+	case err := <-blocked:
+		if !errors.Is(err, transport.ErrClosed) {
+			t.Fatalf("blocked send after peer close = %v, want ErrClosed", err)
+		}
+	case <-time.After(2 * time.Second):
+		t.Fatal("blocked send did not return after the peer closed")
+	}
+}
+
+func TestPipeWrapsWhileGrowing(t *testing.T) {
+	p := newPipe()
+	never := make(chan struct{})
+	pushed, popped := 0, 0
+	for round := 0; round < 200; round++ {
+		for i := 0; i < 5; i++ {
+			if err := p.push(delivery{data: []byte(fmt.Sprint(pushed))}, never, never); err != nil {
+				t.Fatal(err)
+			}
+			pushed++
+		}
+		for i := 0; i < 3; i++ {
+			d, ok := p.pop()
+			if !ok || string(d.data) != fmt.Sprint(popped) {
+				t.Fatalf("pop %d = %q, %v", popped, d.data, ok)
+			}
+			popped++
+		}
+	}
+	for ; popped < pushed; popped++ {
+		if d, ok := p.pop(); !ok || string(d.data) != fmt.Sprint(popped) {
+			t.Fatalf("drain %d = %q, %v", popped, d.data, ok)
+		}
+	}
+	if _, ok := p.pop(); ok {
+		t.Fatal("pop from an empty pipe succeeded")
+	}
+}
+
+// Concurrent senders on one endpoint past the pipe's depth: every
+// datagram arrives once, each sender's in order.
+func TestPipeConcurrentSenders(t *testing.T) {
+	f := New(LinkProfile{})
+	defer f.Close()
+	l, _ := f.Listen("a")
+	c, err := f.Dial("a")
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := l.Accept()
+	if err != nil {
+		t.Fatal(err)
+	}
+	const senders, each = 4, pipeDepth
+	errs := make(chan error, senders)
+	for w := 0; w < senders; w++ {
+		go func(w int) {
+			for i := 0; i < each; i++ {
+				if err := c.Send([]byte{byte(w), byte(i >> 8), byte(i)}); err != nil {
+					errs <- err
+					return
+				}
+			}
+			errs <- nil
+		}(w)
+	}
+	next := make([]int, senders)
+	for n := 0; n < senders*each; n++ {
+		m, err := s.Recv()
+		if err != nil {
+			t.Fatal(err)
+		}
+		w, i := int(m[0]), int(m[1])<<8|int(m[2])
+		if i != next[w] {
+			t.Fatalf("sender %d: datagram %d arrived, want %d", w, i, next[w])
+		}
+		next[w]++
+	}
+	for w := 0; w < senders; w++ {
+		if err := <-errs; err != nil {
+			t.Fatal(err)
+		}
+	}
+}
