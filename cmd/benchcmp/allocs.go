@@ -1,27 +1,10 @@
-// Allocation-gate mode: instead of comparing two sdvm-bench JSON
-// reports, parse `go test -benchmem` text output and enforce two
-// invariants the zero-allocation wire path depends on:
-//
-//  1. every benchmark matching -require-zero reports 0 allocs/op
-//     (and the regex must match at least one benchmark, so a renamed
-//     benchmark cannot silently disable the gate), and
-//  2. no benchmark present in the committed allocation baseline
-//     (-allocs-base, a JSON object of name -> allocs/op) reports more
-//     allocs/op than the baseline records.
-//
-// Usage:
-//
-//	go test -run=NONE -bench . -benchmem ./internal/wire | tee bench.txt
-//	benchcmp -allocs bench.txt -allocs-base bench.allocs.json \
-//	         -require-zero '^BenchmarkEncode/|^BenchmarkDecode/'
+// Parsing and checking for the allocation gate (see main.go).
 package main
 
 import (
 	"bufio"
-	"encoding/json"
 	"fmt"
 	"io"
-	"os"
 	"regexp"
 	"sort"
 	"strconv"
@@ -106,70 +89,4 @@ func sortedKeys(m map[string]int) []string {
 	}
 	sort.Strings(keys)
 	return keys
-}
-
-// runAllocsMode implements `benchcmp -allocs`. It exits the process.
-func runAllocsMode(allocsPath, basePath, requireZeroPat string) {
-	fail := func(format string, args ...any) {
-		fmt.Fprintf(os.Stderr, "benchcmp: "+format+"\n", args...)
-		os.Exit(1)
-	}
-
-	var in io.Reader = os.Stdin
-	if allocsPath != "-" {
-		f, err := os.Open(allocsPath)
-		if err != nil {
-			fail("%v", err)
-		}
-		defer f.Close()
-		in = f
-	}
-	got, err := parseBenchmem(in)
-	if err != nil {
-		fail("parsing benchmem output: %v", err)
-	}
-	if len(got) == 0 {
-		fail("no benchmark results found in %s", allocsPath)
-	}
-
-	base := map[string]int{}
-	if basePath != "" {
-		buf, err := os.ReadFile(basePath)
-		if err != nil {
-			fail("%v", err)
-		}
-		if err := json.Unmarshal(buf, &base); err != nil {
-			fail("%s: baseline must be a JSON object of name -> allocs/op: %v", basePath, err)
-		}
-	}
-
-	var requireZero *regexp.Regexp
-	if requireZeroPat != "" {
-		requireZero, err = regexp.Compile(requireZeroPat)
-		if err != nil {
-			fail("bad -require-zero pattern: %v", err)
-		}
-	}
-
-	for _, name := range sortedKeys(got) {
-		marks := ""
-		if requireZero != nil && requireZero.MatchString(name) {
-			marks += " [must-be-zero]"
-		}
-		if b, ok := base[name]; ok {
-			marks += fmt.Sprintf(" [baseline %d]", b)
-		}
-		fmt.Printf("  %-50s %3d allocs/op%s\n", name, got[name], marks)
-	}
-
-	if fails := checkAllocs(got, base, requireZero); len(fails) > 0 {
-		fmt.Fprintf(os.Stderr, "benchcmp: allocation gate failed:\n")
-		for _, f := range fails {
-			fmt.Fprintf(os.Stderr, "  %s\n", f)
-		}
-		os.Exit(1)
-	}
-	fmt.Printf("benchcmp: allocation gate passed (%d benchmarks, %d in baseline)\n",
-		len(got), len(base))
-	os.Exit(0)
 }

@@ -1,131 +1,103 @@
-// Command benchcmp compares two sdvm-bench JSON reports and fails when a
-// watched value regressed beyond a tolerance. CI uses it to hold the
-// benchmark trajectory: a fresh BENCH_2.json run must not be more than
-// 10 % slower than the committed BENCH_1.json point on the overhead
-// experiment's 1-site wall-clock.
+// Command benchcmp is CI's allocation gate. It parses `go test
+// -benchmem` text output and enforces two invariants the zero-allocation
+// wire path depends on:
+//
+//  1. every benchmark matching -require-zero reports 0 allocs/op
+//     (and the regex must match at least one benchmark, so a renamed
+//     benchmark cannot silently disable the gate), and
+//  2. no benchmark present in the committed allocation baseline
+//     (-allocs-base, a JSON object of name -> allocs/op) reports more
+//     allocs/op than the baseline records.
 //
 // Usage:
 //
-//	benchcmp -base BENCH_1.json -new BENCH_2.json \
-//	         -exp overhead -value sdvm_ms -max-regress 0.10
+//	go test -run=NONE -bench . -benchmem ./internal/wire | tee bench.txt
+//	benchcmp -allocs bench.txt -allocs-base bench.allocs.json \
+//	         -require-zero '^BenchmarkEncode/|^BenchmarkDecode/'
 //
-// The watched value must exist in both reports' named experiment. All
-// other values the two experiments share are printed for the log but
-// not enforced.
-//
-// A second mode, -allocs, gates `go test -benchmem` output instead;
-// see allocs.go.
+// Wall-clock performance is judged by the benchmark module
+// (benchmark/run.sh -compare), not here.
 package main
 
 import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
-	"sort"
-
-	"repro/internal/bench"
+	"regexp"
 )
-
-func load(path string) (*bench.Report, error) {
-	buf, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	var r bench.Report
-	if err := json.Unmarshal(buf, &r); err != nil {
-		return nil, fmt.Errorf("%s: %w", path, err)
-	}
-	return &r, nil
-}
-
-func find(r *bench.Report, exp string) (bench.Summary, error) {
-	for _, s := range r.Experiments {
-		if s.Experiment == exp {
-			if s.Err != "" {
-				return s, fmt.Errorf("experiment %q recorded an error: %s", exp, s.Err)
-			}
-			return s, nil
-		}
-	}
-	return bench.Summary{}, fmt.Errorf("experiment %q not in report", exp)
-}
 
 func main() {
 	var (
-		basePath = flag.String("base", "BENCH_1.json", "baseline report")
-		newPath  = flag.String("new", "BENCH_2.json", "candidate report")
-		exp      = flag.String("exp", "overhead", "experiment to compare")
-		value    = flag.String("value", "sdvm_ms", "watched value inside the experiment")
-		maxReg   = flag.Float64("max-regress", 0.10, "tolerated relative increase of the watched value")
-
-		allocsPath  = flag.String("allocs", "", "allocation-gate mode: go test -benchmem output file ('-' = stdin)")
-		allocsBase  = flag.String("allocs-base", "", "JSON allocation baseline (name -> allocs/op) for -allocs mode")
-		requireZero = flag.String("require-zero", "", "regex of benchmarks that must report 0 allocs/op in -allocs mode")
+		allocsPath     = flag.String("allocs", "", "go test -benchmem output file ('-' = stdin)")
+		basePath       = flag.String("allocs-base", "", "JSON allocation baseline (name -> allocs/op)")
+		requireZeroPat = flag.String("require-zero", "", "regex of benchmarks that must report 0 allocs/op")
 	)
 	flag.Parse()
-
-	if *allocsPath != "" {
-		runAllocsMode(*allocsPath, *allocsBase, *requireZero)
-	}
 
 	fail := func(format string, args ...any) {
 		fmt.Fprintf(os.Stderr, "benchcmp: "+format+"\n", args...)
 		os.Exit(1)
 	}
-
-	base, err := load(*basePath)
-	if err != nil {
-		fail("%v", err)
-	}
-	cand, err := load(*newPath)
-	if err != nil {
-		fail("%v", err)
-	}
-	bs, err := find(base, *exp)
-	if err != nil {
-		fail("%s: %v", *basePath, err)
-	}
-	cs, err := find(cand, *exp)
-	if err != nil {
-		fail("%s: %v", *newPath, err)
+	if *allocsPath == "" {
+		fail("-allocs is required")
 	}
 
-	// Print every shared value so the CI log shows the whole trajectory,
-	// not just the enforced number.
-	names := make([]string, 0, len(bs.Values))
-	for name := range bs.Values {
-		if _, ok := cs.Values[name]; ok {
-			names = append(names, name)
+	var in io.Reader = os.Stdin
+	if *allocsPath != "-" {
+		f, err := os.Open(*allocsPath)
+		if err != nil {
+			fail("%v", err)
+		}
+		defer f.Close()
+		in = f
+	}
+	got, err := parseBenchmem(in)
+	if err != nil {
+		fail("parsing benchmem output: %v", err)
+	}
+	if len(got) == 0 {
+		fail("no benchmark results found in %s", *allocsPath)
+	}
+
+	base := map[string]int{}
+	if *basePath != "" {
+		buf, err := os.ReadFile(*basePath)
+		if err != nil {
+			fail("%v", err)
+		}
+		if err := json.Unmarshal(buf, &base); err != nil {
+			fail("%s: baseline must be a JSON object of name -> allocs/op: %v", *basePath, err)
 		}
 	}
-	sort.Strings(names)
-	fmt.Printf("%s: %s (base %s @ %d CPUs -> new %s @ %d CPUs)\n",
-		*exp, *value, base.GoVersion, base.NumCPU, cand.GoVersion, cand.NumCPU)
-	for _, name := range names {
-		b, c := bs.Values[name], cs.Values[name]
-		delta := ""
-		if b != 0 {
-			delta = fmt.Sprintf("  (%+.1f%%)", 100*(c-b)/b)
+
+	var requireZero *regexp.Regexp
+	if *requireZeroPat != "" {
+		requireZero, err = regexp.Compile(*requireZeroPat)
+		if err != nil {
+			fail("bad -require-zero pattern: %v", err)
 		}
-		fmt.Printf("  %-20s %14.3f -> %14.3f%s\n", name, b, c, delta)
 	}
 
-	b, ok := bs.Values[*value]
-	if !ok {
-		fail("%s: experiment %q has no value %q", *basePath, *exp, *value)
+	for _, name := range sortedKeys(got) {
+		marks := ""
+		if requireZero != nil && requireZero.MatchString(name) {
+			marks += " [must-be-zero]"
+		}
+		if b, ok := base[name]; ok {
+			marks += fmt.Sprintf(" [baseline %d]", b)
+		}
+		fmt.Printf("  %-50s %3d allocs/op%s\n", name, got[name], marks)
 	}
-	c, ok := cs.Values[*value]
-	if !ok {
-		fail("%s: experiment %q has no value %q", *newPath, *exp, *value)
+
+	if fails := checkAllocs(got, base, requireZero); len(fails) > 0 {
+		fmt.Fprintf(os.Stderr, "benchcmp: allocation gate failed:\n")
+		for _, f := range fails {
+			fmt.Fprintf(os.Stderr, "  %s\n", f)
+		}
+		os.Exit(1)
 	}
-	if b <= 0 {
-		fail("baseline %s = %v is not positive; cannot compare", *value, b)
-	}
-	if reg := (c - b) / b; reg > *maxReg {
-		fail("%s.%s regressed %.1f%% (%.3f -> %.3f), tolerance %.0f%%",
-			*exp, *value, 100*reg, b, c, 100**maxReg)
-	}
-	fmt.Printf("benchcmp: %s.%s within tolerance (%.3f -> %.3f, limit +%.0f%%)\n",
-		*exp, *value, b, c, 100**maxReg)
+	fmt.Printf("benchcmp: allocation gate passed (%d benchmarks, %d in baseline)\n",
+		len(got), len(base))
 }

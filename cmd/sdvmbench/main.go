@@ -14,16 +14,17 @@
 //	sdvmbench -exp security          # A-3 encryption cost
 //	sdvmbench -exp scale             # goal 5 scalability curve
 //	sdvmbench -exp speeds            # §3.5 heterogeneous speeds
-//	sdvmbench -exp memstress         # P-1 sharded attraction-memory throughput
 //	sdvmbench -exp scalestorm        # P-4 gossip membership at 64–256 sites
-//	sdvmbench -exp memread           # P-5 read replicas on a read-hot working set
 //	sdvmbench -exp all               # everything
 //
-// -exp also accepts a comma-separated list; the CI trajectory point is
-// `-exp overhead,memstress,scalestorm,memread -json -out BENCH_CI.json`.
-// The A-1 and A-4 to A-7 ablations and P-2 measured switches the
-// production code no longer has; EXPERIMENTS.md records their results and
-// the commit to rerun them at.
+// -exp also accepts a comma-separated list; an unknown name anywhere in
+// it exits 2 before anything runs. A failing experiment exits 1, which
+// is how CI gates `-exp scalestorm` (every roster must converge and the
+// sign-off must spread). Performance is measured by the benchmark module
+// (benchmark/, BENCHMARK.json), not here. The A-1 and A-4 to A-7
+// ablations and P-1, P-2 and P-5 measured code or switches the tree no
+// longer has; EXPERIMENTS.md records their results and the commit to
+// rerun them at.
 //
 // The -scale flag maps one Work unit to wall-clock microseconds; the
 // default 1000 (1 ms) runs the evaluation at roughly 1/30 of the paper's
@@ -34,169 +35,117 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"sort"
 	"strings"
 	"time"
 
 	"repro/internal/bench"
 )
 
+// params are the flag values the experiments draw from.
+type params struct {
+	spec bench.Spec
+	cost float64 // Work units per prime-candidate test
+	full bool    // table1: every published row
+}
+
+type experiment struct {
+	name, title string
+	run         func(params) error
+}
+
+// experiments lists every -exp name in the order a multi-name run uses.
+var experiments = []experiment{
+	{"table1", "Table 1 — speedup of the parallel prime computation", expTable1},
+	{"overhead", "O-1 — SDVM overhead vs stand-alone sequential ([5]: ≈3 %)", expOverhead},
+	{"churn", "§3.4 — dynamic entry and exit at runtime", expChurn},
+	{"crash", "§2.2/§6 — crash detection and recovery", expCrash},
+	{"hetero", "§3.4 — heterogeneous cluster, on-the-fly compilation", expHetero},
+	{"window", "A-2 — latency-hiding window (paper: ≈5)", expWindow},
+	{"security", "A-3 — security manager on/off", expSecurity},
+	{"scale", "goal 5 — scalability curve", expScale},
+	{"speeds", "§3.5 — load balancing across heterogeneous speeds", expSpeeds},
+	{"scalestorm", "P-4 — gossip membership dissemination at 64/128/256 sites", expScaleStorm},
+}
+
+// selectExperiments resolves a comma-separated -exp value to the
+// experiments to run, in table order and each once. "all" selects every
+// experiment. Any name that is not known is an error naming each such
+// name, so a typo cannot silently shrink a run to its valid part.
+func selectExperiments(list string) ([]experiment, error) {
+	want := map[string]bool{}
+	for _, name := range strings.Split(list, ",") {
+		if name = strings.TrimSpace(name); name != "" {
+			want[name] = true
+		}
+	}
+	var out []experiment
+	for _, e := range experiments {
+		if want["all"] || want[e.name] {
+			out = append(out, e)
+		}
+		delete(want, e.name)
+	}
+	delete(want, "all")
+	known := strings.Join(names(), ", ") + ", all"
+	if len(want) > 0 {
+		unknown := make([]string, 0, len(want))
+		for name := range want {
+			unknown = append(unknown, fmt.Sprintf("%q", name))
+		}
+		sort.Strings(unknown)
+		return nil, fmt.Errorf("unknown experiment %s (known: %s)", strings.Join(unknown, ", "), known)
+	}
+	if len(out) == 0 {
+		return nil, fmt.Errorf("no experiment selected (known: %s)", known)
+	}
+	return out, nil
+}
+
+func names() []string {
+	out := make([]string, len(experiments))
+	for i, e := range experiments {
+		out[i] = e.name
+	}
+	return out
+}
+
 func main() {
 	var (
-		exp     = flag.String("exp", "all", "experiment(s), comma-separated: table1|overhead|churn|crash|hetero|window|security|scale|speeds|memstress|scalestorm|memread|all")
-		full    = flag.Bool("full", false, "table1: run every published row (p up to 1000); slow")
-		scale   = flag.Int("scale", 1000, "wall-clock microseconds per Work unit")
-		cost    = flag.Float64("cost", 2.0, "Work units per prime-candidate test")
-		jsonOut = flag.Bool("json", false, "also write a machine-readable report (see -out)")
-		outPath = flag.String("out", "BENCH_1.json", "report path for -json")
+		exp   = flag.String("exp", "all", "experiment(s), comma-separated: "+strings.Join(names(), "|")+"|all")
+		full  = flag.Bool("full", false, "table1: run every published row (p up to 1000); slow")
+		scale = flag.Int("scale", 1000, "wall-clock microseconds per Work unit")
+		cost  = flag.Float64("cost", 2.0, "Work units per prime-candidate test")
 	)
 	flag.Parse()
 
-	unit := time.Duration(*scale) * time.Microsecond
-	spec := bench.Spec{WorkUnit: unit}
-
-	var report *bench.Report
-	if *jsonOut {
-		report = bench.NewReport()
-	}
-
-	// run executes one experiment. Without -json an error aborts the
-	// whole command; with -json it is recorded in the report and the
-	// remaining experiments still run (the command exits 1 at the end).
-	run := func(key, name string, f func(s *bench.Summary) error) {
-		fmt.Printf("==> %s\n", name)
-		sum := bench.Timed(key, f)
-		if sum.Err != "" {
-			fmt.Fprintf(os.Stderr, "sdvmbench: %s: %s\n", key, sum.Err)
-			if report == nil {
-				os.Exit(1)
-			}
-		} else {
-			fmt.Printf("    (experiment took %v)\n\n",
-				time.Duration(sum.WallClockMS*float64(time.Millisecond)).Round(time.Millisecond))
-		}
-		if report != nil {
-			report.Add(sum)
-		}
-	}
-	// plain adapts experiments that only report wall-clock.
-	plain := func(f func() error) func(*bench.Summary) error {
-		return func(*bench.Summary) error { return f() }
-	}
-
-	want := map[string]bool{}
-	for _, e := range strings.Split(*exp, ",") {
-		if e = strings.TrimSpace(e); e != "" {
-			want[e] = true
-		}
-	}
-	all := want["all"]
-	any := false
-	if all || want["table1"] {
-		any = true
-		run("table1", "Table 1 — speedup of the parallel prime computation", plain(func() error {
-			return expTable1(spec, *cost, *full)
-		}))
-	}
-	if all || want["overhead"] {
-		any = true
-		run("overhead", "O-1 — SDVM overhead vs stand-alone sequential ([5]: ≈3 %)", func(s *bench.Summary) error {
-			if report == nil {
-				s = nil // plain mode: run uninstrumented, like the seed did
-			}
-			return expOverhead(spec, *cost, s)
-		})
-	}
-	if all || want["churn"] {
-		any = true
-		run("churn", "§3.4 — dynamic entry and exit at runtime", plain(func() error {
-			return expChurn(spec, *cost)
-		}))
-	}
-	if all || want["crash"] {
-		any = true
-		run("crash", "§2.2/§6 — crash detection and recovery", plain(func() error {
-			return expCrash(spec, *cost)
-		}))
-	}
-	if all || want["hetero"] {
-		any = true
-		run("hetero", "§3.4 — heterogeneous cluster, on-the-fly compilation", plain(func() error {
-			return expHetero(spec, *cost)
-		}))
-	}
-	if all || want["window"] {
-		any = true
-		run("window", "A-2 — latency-hiding window (paper: ≈5)", plain(func() error {
-			return expWindow(spec)
-		}))
-	}
-	if all || want["security"] {
-		any = true
-		run("security", "A-3 — security manager on/off", plain(func() error {
-			return expSecurity(spec, *cost)
-		}))
-	}
-	if all || want["scale"] {
-		any = true
-		run("scale", "goal 5 — scalability curve", plain(func() error {
-			return expScale(spec, *cost)
-		}))
-	}
-	if all || want["speeds"] {
-		any = true
-		run("speeds", "§3.5 — load balancing across heterogeneous speeds", plain(func() error {
-			return expSpeeds(spec, *cost)
-		}))
-	}
-	if all || want["memstress"] {
-		any = true
-		run("memstress", "P-1 — sharded attraction-memory throughput, 1 vs 4 procs", func(s *bench.Summary) error {
-			if report == nil {
-				s = nil
-			}
-			return expMemStress(spec, s)
-		})
-	}
-	if all || want["scalestorm"] {
-		any = true
-		run("scalestorm", "P-4 — gossip membership dissemination at 64/128/256 sites", func(s *bench.Summary) error {
-			if report == nil {
-				s = nil
-			}
-			return expScaleStorm(s)
-		})
-	}
-	if all || want["memread"] {
-		any = true
-		run("memread", "P-5 — read replicas + write-invalidate on a read-hot working set", func(s *bench.Summary) error {
-			if report == nil {
-				s = nil
-			}
-			return expMemRead(spec, s)
-		})
-	}
-	if !any {
-		fmt.Fprintf(os.Stderr, "sdvmbench: unknown experiment %q\n", *exp)
+	exps, err := selectExperiments(*exp)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "sdvmbench: %v\n", err)
 		os.Exit(2)
 	}
-	if report != nil {
-		if err := report.Write(*outPath); err != nil {
-			fmt.Fprintf(os.Stderr, "sdvmbench: %v\n", err)
+	p := params{
+		spec: bench.Spec{WorkUnit: time.Duration(*scale) * time.Microsecond},
+		cost: *cost,
+		full: *full,
+	}
+	for _, e := range exps {
+		fmt.Printf("==> %s\n", e.title)
+		start := time.Now()
+		if err := e.run(p); err != nil {
+			fmt.Fprintf(os.Stderr, "sdvmbench: %s: %v\n", e.name, err)
 			os.Exit(1)
 		}
-		fmt.Printf("sdvmbench: wrote %s (%d experiments)\n", *outPath, len(report.Experiments))
-		if report.Failed() {
-			os.Exit(1)
-		}
+		fmt.Printf("    (experiment took %v)\n\n", time.Since(start).Round(time.Millisecond))
 	}
 }
 
-func expTable1(spec bench.Spec, cost float64, full bool) error {
+func expTable1(p params) error {
 	rows := bench.PaperTable1
-	if !full {
+	if !p.full {
 		rows = []bench.Table1Row{rows[0], rows[1], rows[4], rows[5]} // p∈{100,200}
 	}
-	got, err := bench.Table1(spec, cost, rows)
+	got, err := bench.Table1(p.spec, p.cost, rows)
 	if err != nil {
 		return err
 	}
@@ -211,40 +160,20 @@ func expTable1(spec bench.Spec, cost float64, full bool) error {
 	return nil
 }
 
-func expOverhead(spec bench.Spec, cost float64, sum *bench.Summary) error {
-	var (
-		res    bench.OverheadResult
-		totals map[string]int64
-		err    error
-	)
-	if sum != nil {
-		// JSON mode instruments the 1-site run so the report pairs
-		// wall-clock with the metric totals behind it.
-		res, totals, err = bench.OverheadWithMetrics(spec, 100, 10, cost)
-	} else {
-		res, err = bench.Overhead(spec, 100, 10, cost)
-	}
+func expOverhead(p params) error {
+	res, err := bench.Overhead(p.spec, 100, 10, p.cost)
 	if err != nil {
 		return err
 	}
 	fmt.Printf("    sequential: %v   1-site SDVM: %v   overhead: %.1f%%   (paper: ≈3%%)\n",
 		res.Seq.Round(time.Millisecond), res.SDVM.Round(time.Millisecond), 100*res.Overhead)
-	if sum != nil {
-		sum.Values = map[string]float64{
-			"seq_ms":        float64(res.Seq) / float64(time.Millisecond),
-			"sdvm_ms":       float64(res.SDVM) / float64(time.Millisecond),
-			"overhead_frac": res.Overhead,
-		}
-		sum.Metrics = totals
-		fmt.Printf("    top metrics: %s\n", strings.Join(bench.TopMetrics(totals, 8), " "))
-	}
 	return nil
 }
 
-func expChurn(spec bench.Spec, cost float64) error {
-	s := spec
+func expChurn(p params) error {
+	s := p.spec
 	s.Sites = 4
-	res, err := bench.Churn(s, 200, 10, cost)
+	res, err := bench.Churn(s, 200, 10, p.cost)
 	if err != nil {
 		return err
 	}
@@ -253,10 +182,10 @@ func expChurn(spec bench.Spec, cost float64) error {
 	return nil
 }
 
-func expCrash(spec bench.Spec, cost float64) error {
-	s := spec
+func expCrash(p params) error {
+	s := p.spec
 	s.Sites = 4
-	res, err := bench.Crash(s, 200, 10, cost)
+	res, err := bench.Crash(s, 200, 10, p.cost)
 	if err != nil {
 		return err
 	}
@@ -267,10 +196,10 @@ func expCrash(spec bench.Spec, cost float64) error {
 	return nil
 }
 
-func expHetero(spec bench.Spec, cost float64) error {
-	s := spec
+func expHetero(p params) error {
+	s := p.spec
 	s.Sites = 4
-	res, err := bench.Hetero(s, 200, 10, cost, 2*time.Millisecond)
+	res, err := bench.Hetero(s, 200, 10, p.cost, 2*time.Millisecond)
 	if err != nil {
 		return err
 	}
@@ -279,8 +208,8 @@ func expHetero(spec bench.Spec, cost float64) error {
 	return nil
 }
 
-func expWindow(spec bench.Spec) error {
-	s := spec
+func expWindow(p params) error {
+	s := p.spec
 	s.Sites = 4
 	out, err := bench.WindowSweep(s, []int{1, 2, 3, 5, 8, 16}, 32, 4, 1)
 	if err != nil {
@@ -296,10 +225,10 @@ func expWindow(spec bench.Spec) error {
 	return nil
 }
 
-func expSecurity(spec bench.Spec, cost float64) error {
-	s := spec
+func expSecurity(p params) error {
+	s := p.spec
 	s.Sites = 4
-	res, err := bench.Security(s, 200, 10, cost)
+	res, err := bench.Security(s, 200, 10, p.cost)
 	if err != nil {
 		return err
 	}
@@ -309,8 +238,8 @@ func expSecurity(spec bench.Spec, cost float64) error {
 	return nil
 }
 
-func expScale(spec bench.Spec, cost float64) error {
-	out, err := bench.ScaleCurve(spec, []int{1, 2, 4, 8, 16}, 200, 20, cost)
+func expScale(p params) error {
+	out, err := bench.ScaleCurve(p.spec, []int{1, 2, 4, 8, 16}, 200, 20, p.cost)
 	if err != nil {
 		return err
 	}
@@ -321,9 +250,9 @@ func expScale(spec bench.Spec, cost float64) error {
 	return nil
 }
 
-func expSpeeds(spec bench.Spec, cost float64) error {
+func expSpeeds(p params) error {
 	speeds := []float64{2.0, 1.0, 1.0, 0.5}
-	res, err := bench.HeterogeneousSpeeds(spec, speeds, 200, 20, cost)
+	res, err := bench.HeterogeneousSpeeds(p.spec, speeds, 200, 20, p.cost)
 	if err != nil {
 		return err
 	}
@@ -340,68 +269,11 @@ func expSpeeds(spec bench.Spec, cost float64) error {
 	return nil
 }
 
-func expMemStress(spec bench.Spec, sum *bench.Summary) error {
-	res, err := bench.MemStress(spec, 8, 16, 8000, 4)
-	if err != nil {
-		return err
-	}
-	fmt.Printf("    GOMAXPROCS=1: %.0f ops/s   GOMAXPROCS=%d: %.0f ops/s   scaling: %.2fx   shard contention: %d\n",
-		res.Ops1, res.Procs, res.OpsN, res.Scaling, res.Contention)
-	fmt.Printf("    (a single-mutex manager pins scaling to ≈1x on any host; on a single-core\n")
-	fmt.Printf("     host the sharded one reads ≈1x too — contention is the signal there)\n")
-	if sum != nil {
-		sum.Values = map[string]float64{
-			"ops_per_sec_1p":   res.Ops1,
-			"ops_per_sec_np":   res.OpsN,
-			"procs":            float64(res.Procs),
-			"scaling":          res.Scaling,
-			"shard_contention": float64(res.Contention),
-		}
-	}
-	return nil
-}
-
-func expScaleStorm(sum *bench.Summary) error {
+func expScaleStorm(params) error {
 	points, err := bench.ScaleStorm([]int{64, 128, 256}, 200*time.Microsecond)
-	if err != nil {
-		return err
-	}
-	if sum != nil {
-		sum.Values = map[string]float64{}
-	}
-	converged := 1.0
 	for _, pt := range points {
 		fmt.Printf("    %3d sites: join %8.1f ms   converge %8.1f ms   leave %8.1f ms\n",
 			pt.Sites, pt.JoinMS, pt.ConvergeMS, pt.LeaveMS)
-		if !pt.Converged {
-			converged = 0
-		}
-		if sum != nil {
-			sum.Values[fmt.Sprintf("wall_ms_%d", pt.Sites)] = pt.ConvergeMS
-			sum.Values[fmt.Sprintf("leave_ms_%d", pt.Sites)] = pt.LeaveMS
-		}
 	}
-	if sum != nil {
-		sum.Values["converged"] = converged
-	}
-	return nil
-}
-
-func expMemRead(spec bench.Spec, sum *bench.Summary) error {
-	res, err := bench.MemRead(spec, 2, 32, 100)
-	if err != nil {
-		return err
-	}
-	fmt.Printf("    %.0f reads/s   %d replica hits   %d remote fetches   owner writes during run: %d\n",
-		res.Ops, res.ReplicaHits, res.Remote, res.Writes)
-	if sum != nil {
-		sum.Values = map[string]float64{
-			"ops_per_sec":  res.Ops,
-			"replica_hits": float64(res.ReplicaHits),
-			"remote_reads": float64(res.Remote),
-			"owner_writes": float64(res.Writes),
-		}
-		sum.Metrics = res.Metrics
-	}
-	return nil
+	return err
 }

@@ -44,14 +44,12 @@ func main() {
 		heartbeat  = flag.Duration("heartbeat", 0, "crash-detection heartbeat (0 = off)")
 		status     = flag.Duration("status", 5*time.Second, "status print interval (0 = quiet)")
 		simulated  = flag.Bool("simwork", false, "simulate Work by sleeping instead of burning CPU")
-		useUDP     = flag.Bool("udp", false, "use the reliable-UDP transport instead of TCP")
 		metrics    = flag.Bool("metrics", false, "enable the metrics registry (queryable via sdvmstat -metrics)")
 		metricsAt  = flag.String("metrics-addr", "", "also serve metrics as JSON over HTTP at host:port (implies -metrics)")
 	)
 	flag.Parse()
 
 	opts := sdvm.Options{
-		UDP:             *useUDP,
 		Addr:            *listen,
 		Secret:          *secret,
 		Platform:        sdvm.PlatformID(*platform),

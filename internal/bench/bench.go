@@ -1,8 +1,9 @@
-// Package bench is the experiment harness behind cmd/sdvmbench and the
-// root-level testing.B benchmarks. Every table and figure of the paper's
-// evaluation (§5) — plus the latency-window (A-2) and security (A-3)
-// ablations — is regenerated by one function here, so the CLI and
-// `go test -bench` report identical numbers.
+// Package bench is the experiment harness behind cmd/sdvmbench. Every
+// table and figure of the paper's evaluation (§5) — plus the
+// latency-window (A-2) and security (A-3) ablations and the P-4
+// membership-at-scale check — is regenerated by one function here.
+// Performance claims are made with the separate benchmark module
+// (benchmark/, BENCHMARK.json), not with these wall-clock runs.
 //
 // Time scale: the paper's prime test costs ≈60 ms per candidate on a
 // 1.7 GHz Pentium IV. The harness expresses costs in Work units and maps
@@ -18,7 +19,6 @@ import (
 
 	"repro/internal/daemon"
 	"repro/internal/exec"
-	"repro/internal/metrics"
 	"repro/internal/mthread"
 	"repro/internal/security"
 	"repro/internal/transport/inproc"
@@ -47,9 +47,6 @@ type Spec struct {
 	HeartbeatEvery  time.Duration
 	// RestartGrace overrides the submitter's last-resort restart delay.
 	RestartGrace time.Duration
-	// Metrics enables every daemon's metrics registry so an experiment
-	// can report counter deltas next to wall-clock (see MetricsTotals).
-	Metrics bool
 }
 
 func (s Spec) workUnit() time.Duration {
@@ -78,7 +75,6 @@ func NewCluster(spec Spec) (*Cluster, error) {
 			Window:       spec.Window,
 			CompileCost:  spec.CompileCost,
 			RestartGrace: spec.RestartGrace,
-			Metrics:      spec.Metrics,
 			Seed:         int64(i + 1),
 		}
 		if spec.Secret != "" {
@@ -120,23 +116,6 @@ func (c *Cluster) Close() {
 		d.Kill()
 	}
 	c.Fabric.Close()
-}
-
-// MetricsTotals sums every daemon's metrics snapshot by name — the
-// cluster-wide view `sdvmstat -metrics` prints, without the bus hop.
-// Returns nil unless the cluster was built with Spec.Metrics.
-func (c *Cluster) MetricsTotals() map[string]int64 {
-	var totals map[string]int64
-	for _, d := range c.Daemons {
-		if d.Metrics == nil {
-			continue
-		}
-		if totals == nil {
-			totals = map[string]int64{}
-		}
-		metrics.Merge(totals, d.Metrics.Snapshot())
-	}
-	return totals
 }
 
 // Run submits app on site 0 and returns the wall-clock time to the
@@ -265,34 +244,6 @@ func Overhead(spec Spec, p, width int, cost float64) (OverheadResult, error) {
 		SDVM:     sdvm,
 		Overhead: float64(sdvm-seq) / float64(seq),
 	}, nil
-}
-
-// OverheadWithMetrics runs the O-1 experiment with the metrics registry
-// enabled and also returns the 1-site cluster's metric totals, so the
-// JSON report can pair wall-clock with the work the machinery did.
-func OverheadWithMetrics(spec Spec, p, width int, cost float64) (OverheadResult, map[string]int64, error) {
-	seq := RunSeqPrimes(p, width, cost, spec.workUnit())
-	s := spec
-	s.Sites = 1
-	s.Metrics = true
-	c, err := NewCluster(s)
-	if err != nil {
-		return OverheadResult{}, nil, err
-	}
-	defer c.Close()
-	elapsed, raw, err := c.Run(workloads.PrimesApp(), workloads.PrimesArgs(p, width, cost)...)
-	if err != nil {
-		return OverheadResult{}, nil, err
-	}
-	primes := workloads.ParsePrimesResult(raw)
-	if len(primes) != p || primes[p-1] != workloads.NthPrime(p) {
-		return OverheadResult{}, nil, fmt.Errorf("bench: wrong primes result (%d found)", len(primes))
-	}
-	return OverheadResult{
-		Seq:      seq,
-		SDVM:     elapsed,
-		Overhead: float64(elapsed-seq) / float64(seq),
-	}, c.MetricsTotals(), nil
 }
 
 // ChurnResult is the dynamic-entry/exit experiment outcome.

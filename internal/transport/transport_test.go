@@ -9,7 +9,6 @@ import (
 	"repro/internal/transport"
 	"repro/internal/transport/inproc"
 	"repro/internal/transport/tcp"
-	"repro/internal/transport/udp"
 )
 
 // Compile-time conformance: every shipped transport satisfies Network.
@@ -18,7 +17,6 @@ import (
 var (
 	_ transport.Network = (*tcp.Net)(nil)
 	_ transport.Network = (*inproc.Fabric)(nil)
-	_ transport.Network = (*udp.Net)(nil)
 )
 
 // networks enumerates the implementations behind the interface, the way

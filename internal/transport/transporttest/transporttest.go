@@ -335,8 +335,7 @@ func testBurstOfSizes(t *testing.T, factory Factory) {
 
 // testSendAfterClose checks a closed endpoint eventually refuses to
 // send. "Eventually" tolerates transports that only notice the
-// teardown on a later attempt (real sockets buffer; reliable-UDP
-// retries), but a transport that accepts datagrams forever after Close
+// teardown on a later attempt (real sockets buffer), but a transport that accepts datagrams forever after Close
 // would make the network manager's redial logic unreachable.
 func testSendAfterClose(t *testing.T, factory Factory) {
 	net, next := factory(t)

@@ -44,7 +44,6 @@ import (
 	"repro/internal/transport"
 	"repro/internal/transport/inproc"
 	"repro/internal/transport/tcp"
-	"repro/internal/transport/udp"
 	"repro/internal/types"
 	"repro/internal/wire"
 )
@@ -104,11 +103,6 @@ type Options struct {
 	// Network overrides the transport (e.g. an inproc fabric for
 	// simulations). Nil means real TCP.
 	Network transport.Network
-	// UDP switches the default transport to the reliable-UDP layer
-	// (ordered, retransmitting datagrams with zero-cost connections —
-	// the T/TCP-inspired design the paper's network manager section
-	// wishes for). Ignored when Network is set.
-	UDP bool
 	// Secret, when non-empty, enables AES-GCM encryption of all
 	// inter-site traffic with keys derived from it (paper §4, security
 	// manager). Every site of a cluster must use the same secret.
@@ -161,11 +155,7 @@ type Options struct {
 func (o Options) daemonConfig() (daemon.Config, error) {
 	net := o.Network
 	if net == nil {
-		if o.UDP {
-			net = udp.New()
-		} else {
-			net = tcp.New()
-		}
+		net = tcp.New()
 	}
 	addr := o.Addr
 	if addr == "" {

@@ -154,36 +154,6 @@ func TestEncodingHelpers(t *testing.T) {
 	}
 }
 
-func TestUDPClusterEndToEnd(t *testing.T) {
-	// The paper's wished-for transport: reliable ordered datagrams over
-	// UDP. A full two-site run must work identically to TCP.
-	boot, err := Bootstrap(Options{UDP: true, SimulatedWork: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer boot.Kill()
-
-	contact := boot.Daemon.CM.Self().PhysAddr
-	peer, err := Join(contact, Options{UDP: true, SimulatedWork: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer peer.Kill()
-
-	prog, err := boot.Submit(workloads.PrimesApp(), workloads.PrimesArgs(20, 5, 1)...)
-	if err != nil {
-		t.Fatal(err)
-	}
-	raw, ok := boot.Wait(prog, 60*time.Second)
-	if !ok {
-		t.Fatal("UDP cluster did not terminate")
-	}
-	primes := ParseU64s(raw)
-	if len(primes) != 20 || primes[19] != workloads.NthPrime(20) {
-		t.Fatalf("primes = %v", primes)
-	}
-}
-
 func TestUsageThroughPublicAPI(t *testing.T) {
 	lc, err := NewLocalCluster(2, Options{})
 	if err != nil {
