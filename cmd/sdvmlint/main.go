@@ -6,78 +6,41 @@
 //	go run ./cmd/sdvmlint ./...
 //
 // The package pattern argument is accepted for familiarity but the suite
-// always analyzes the whole module: the wiredispatch analyzer needs the
-// complete picture (a payload's sender and handler live in different
-// packages), and partial runs would report spurious protocol holes.
-// Findings can be suppressed per line with
+// always analyzes the whole module: the interprocedural analyzers need
+// the complete call graph, and partial runs would miss callers and
+// callees in other packages. Findings can be suppressed per line with
 //
 //	//sdvmlint:allow <analyzer> -- <reason>
 //
 // Flags:
 //
-//	-q               print findings only, no summary
-//	-json            emit findings as a JSON array on stdout
-//	-baseline FILE   suppress findings recorded in FILE (a -json dump,
-//	                 optionally annotated with per-entry "why" fields);
-//	                 matching ignores line numbers, so a baseline
-//	                 survives unrelated edits above a finding
-//	-analyzers CSV   run only the named analyzers ("wiretaint,lockhold"),
-//	                 or all but the negated ones ("-allocfree,-lockorder");
-//	                 the special value "list" prints every analyzer with a
-//	                 one-line description and exits without analyzing
 //	-timings         print per-analyzer wall-clock timings to stderr
 //	-budget DUR      exit nonzero if the whole run exceeds DUR (0 = off)
-//
-// JSON output is a versioned envelope, {"schema": 1, "findings": [...]},
-// so downstream tooling can detect format changes. The -baseline flag
-// accepts either that envelope or the legacy bare findings array.
 //
 // Exit codes:
 //
 //	0  clean: no findings and within budget
 //	1  findings were reported, or the run exceeded -budget
-//	2  usage or environment error (bad flag value, unknown analyzer,
-//	   no go.mod, package load failure, unreadable baseline)
-//
-// A typical adoption path for a new analyzer: run `sdvmlint -json >
-// baseline.json` once, commit the baseline with a justification per
-// entry, and burn it down finding by finding while CI blocks only
-// regressions.
+//	2  usage or environment error (no go.mod, package load failure)
 //
 // See internal/analysis and DESIGN.md ("Static analysis & race policy").
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
-	"io"
 	"os"
 	"path/filepath"
-	"strings"
 	"time"
 
 	"repro/internal/analysis"
 )
 
 func main() {
-	quiet := flag.Bool("q", false, "print findings only, no summary")
-	asJSON := flag.Bool("json", false, "emit findings as a JSON array on stdout")
-	baseline := flag.String("baseline", "", "suppress findings recorded in this file (a previous -json dump)")
-	analyzerSpec := flag.String("analyzers", "", "comma-separated analyzers to run, or to skip when every entry starts with '-'")
 	timings := flag.Bool("timings", false, "print per-analyzer wall-clock timings to stderr")
 	budget := flag.Duration("budget", 0, "fail if the whole analysis run exceeds this duration (0 disables)")
 	flag.Parse()
 
-	if *analyzerSpec == "list" {
-		listAnalyzers(os.Stdout, analysis.All())
-		return
-	}
-	analyzers, err := selectAnalyzers(analysis.All(), *analyzerSpec)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "sdvmlint:", err)
-		os.Exit(2)
-	}
 	root, err := moduleRoot()
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "sdvmlint:", err)
@@ -90,7 +53,7 @@ func main() {
 		os.Exit(2)
 	}
 	loadTime := time.Since(start)
-	findings, perAnalyzer := analysis.RunWithTimings(prog, analyzers)
+	findings, perAnalyzer := analysis.RunWithTimings(prog, analysis.All())
 	total := time.Since(start)
 	if *timings {
 		fmt.Fprintf(os.Stderr, "sdvmlint: load %v\n", loadTime.Round(time.Millisecond))
@@ -99,31 +62,8 @@ func main() {
 		}
 		fmt.Fprintf(os.Stderr, "sdvmlint: total %v\n", total.Round(time.Millisecond))
 	}
-	if *baseline != "" {
-		findings, err = analysis.ApplyBaseline(findings, root, *baseline)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "sdvmlint:", err)
-			os.Exit(2)
-		}
-	}
-	if *asJSON {
-		out := analysis.JSONReport{
-			Schema:   analysis.JSONSchemaVersion,
-			Findings: make([]analysis.JSONFinding, 0, len(findings)),
-		}
-		for _, f := range findings {
-			out.Findings = append(out.Findings, analysis.ToJSON(root, f))
-		}
-		enc := json.NewEncoder(os.Stdout)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(out); err != nil {
-			fmt.Fprintln(os.Stderr, "sdvmlint:", err)
-			os.Exit(2)
-		}
-	} else {
-		for _, f := range findings {
-			fmt.Println(f)
-		}
+	for _, f := range findings {
+		fmt.Println(f)
 	}
 	if len(findings) > 0 {
 		fmt.Fprintf(os.Stderr, "sdvmlint: %d finding(s) in %d packages\n",
@@ -135,78 +75,7 @@ func main() {
 			total.Round(time.Millisecond), *budget)
 		os.Exit(1)
 	}
-	if !*quiet && !*asJSON {
-		fmt.Fprintf(os.Stderr, "sdvmlint: clean (%d packages)\n", len(prog.Pkgs))
-	}
-}
-
-// selectAnalyzers resolves the -analyzers flag against the full suite.
-// An empty spec keeps everything. A spec whose entries all start with
-// '-' runs the suite minus those analyzers; otherwise exactly the named
-// analyzers run, in suite order. Unknown names are errors, so a typo
-// cannot silently skip a gate.
-func selectAnalyzers(all []analysis.Analyzer, spec string) ([]analysis.Analyzer, error) {
-	if spec == "" {
-		return all, nil
-	}
-	known := make(map[string]bool, len(all))
-	for _, a := range all {
-		known[a.Name()] = true
-	}
-	include := make(map[string]bool)
-	exclude := make(map[string]bool)
-	for _, raw := range strings.Split(spec, ",") {
-		name := strings.TrimSpace(raw)
-		if name == "" {
-			continue
-		}
-		neg := strings.HasPrefix(name, "-")
-		if neg {
-			name = name[1:]
-		}
-		if !known[name] {
-			return nil, fmt.Errorf("unknown analyzer %q (known: %s)", name, knownNames(all))
-		}
-		if neg {
-			exclude[name] = true
-		} else {
-			include[name] = true
-		}
-	}
-	if len(include) > 0 && len(exclude) > 0 {
-		return nil, fmt.Errorf("-analyzers mixes selections and exclusions: %q", spec)
-	}
-	var out []analysis.Analyzer
-	for _, a := range all {
-		if len(include) > 0 && !include[a.Name()] {
-			continue
-		}
-		if exclude[a.Name()] {
-			continue
-		}
-		out = append(out, a)
-	}
-	if len(out) == 0 {
-		return nil, fmt.Errorf("-analyzers %q selects nothing", spec)
-	}
-	return out, nil
-}
-
-// listAnalyzers prints the suite roster with one-line descriptions, in
-// suite order — the output CI and contributors consult before writing
-// an -analyzers spec or an allow directive.
-func listAnalyzers(w io.Writer, all []analysis.Analyzer) {
-	for _, a := range all {
-		fmt.Fprintf(w, "%-14s %s\n", a.Name(), analysis.Descriptions[a.Name()])
-	}
-}
-
-func knownNames(all []analysis.Analyzer) string {
-	names := make([]string, len(all))
-	for i, a := range all {
-		names[i] = a.Name()
-	}
-	return strings.Join(names, ", ")
+	fmt.Fprintf(os.Stderr, "sdvmlint: clean (%d packages)\n", len(prog.Pkgs))
 }
 
 // moduleRoot walks from the working directory up to the nearest go.mod.

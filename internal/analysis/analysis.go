@@ -1,26 +1,17 @@
 // Package analysis implements sdvmlint, the SDVM repository's static
 // analysis suite. It is built only on the standard library's go/ast,
 // go/parser, go/token and go/types packages (the repo's stdlib-only rule)
-// and machine-checks the concurrency and protocol invariants the Go
-// compiler cannot see:
+// and machine-checks the concurrency and protocol invariants that
+// neither the Go compiler nor the tests (go vet, go test, -race) catch.
+// DESIGN.md §6 holds the mutation table that keeps each analyzer here:
 //
 //   - lockhold: no sync.Mutex/RWMutex held across a blocking operation
 //     (channel send/receive, bus request, transport send, time.Sleep);
-//   - wiredispatch: every wire payload type has a codec registration, a
-//     kind name, and a consumer (dispatch case or reply assertion);
 //   - sleepfree: no bare time.Sleep in production packages outside an
 //     explicit allowlist;
-//   - golifecycle: no goroutine running an unbounded loop that can
-//     neither terminate nor observe a stop/done channel;
-//   - guardedby: struct fields annotated "// guarded by <mu>" are only
-//     touched while that mutex is held (interprocedurally: helpers whose
-//     every visible caller holds the lock inherit it), and reference-typed
-//     guarded fields must not escape via return;
 //   - lockorder: the global mutex-acquisition graph is acyclic — a cycle
 //     is a potential deadlock, reported with a witness call chain per
 //     edge;
-//   - atomicmix: a field accessed through sync/atomic anywhere in the
-//     module is never read or written plainly, in any package;
 //   - chanowner: every channel struct field has exactly one closing
 //     owner, closes stay in the declaring package, and no send follows
 //     the close in straight-line code;
@@ -43,11 +34,10 @@
 //     iteration, goroutine launches or unresolvable dynamic calls —
 //     each finding carries a root-to-site witness chain.
 //
-// The interprocedural analyzers (and the interprocedural halves of
-// lockhold and guardedby) run on a conservative whole-module call
-// graph built in callgraph.go/ipstate.go; the shared dataflow
-// propagation (witness chains, may-fact fixpoints, forward
-// reachability) lives in dataflow.go, and the intraprocedural CFG the
+// The interprocedural analyzers (and the interprocedural half of
+// lockhold) run on a conservative whole-module call graph built in
+// callgraph.go/ipstate.go; the shared dataflow propagation (witness
+// chains, may-fact fixpoints, forward reachability) lives in dataflow.go, and the intraprocedural CFG the
 // path-based analyzers use lives in cfg.go. Construction rules and
 // soundness caveats are documented on the engine and the framework.
 //
@@ -94,35 +84,14 @@ type Analyzer interface {
 func All() []Analyzer {
 	return []Analyzer{
 		newLockhold(),
-		newWiredispatch(),
 		newSleepfree(defaultSleepAllowlist),
-		newGolifecycle(),
-		newGuardedby(),
 		newLockorder(),
-		newAtomicmix(),
 		newChanowner(),
 		newWiretaint(),
 		newAllocfree(),
 		newPoolowner(),
 		newDetpath(),
 	}
-}
-
-// Descriptions maps each analyzer name to the one-line summary the
-// driver's -analyzers listing prints.
-var Descriptions = map[string]string{
-	"lockhold":     "no mutex held across a blocking operation (interprocedural)",
-	"wiredispatch": "every wire payload kind is registered, named and consumed",
-	"sleepfree":    "no bare time.Sleep in production packages",
-	"golifecycle":  "every goroutine loop can terminate or observe a stop channel",
-	"guardedby":    "'guarded by' fields only touched with the mutex held",
-	"lockorder":    "the global mutex-acquisition graph stays acyclic",
-	"atomicmix":    "atomic fields are never accessed plainly, module-wide",
-	"chanowner":    "one closing owner per channel field, no send after close",
-	"wiretaint":    "wire-decoded values validated before sizing/indexing/routing",
-	"allocfree":    "//sdvm:hotpath functions never allocate, transitively",
-	"poolowner":    "pooled buffers Release exactly once per path; no use-after-Release or borrowed-view retention",
-	"detpath":      "//sdvm:deterministic roots reach no wall clock, global rand or map-order dependence",
 }
 
 // requireReason lists the analyzers whose findings can only be

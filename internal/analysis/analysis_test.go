@@ -1,7 +1,6 @@
 package analysis
 
 import (
-	"os"
 	"path/filepath"
 	"regexp"
 	"strings"
@@ -81,15 +80,7 @@ func TestLockholdFixture(t *testing.T) { runFixture(t, "lockhold", newLockhold()
 
 func TestSleepfreeFixture(t *testing.T) { runFixture(t, "sleepfree", newSleepfree(nil)) }
 
-func TestGolifecycleFixture(t *testing.T) { runFixture(t, "golifecycle", newGolifecycle()) }
-
-func TestGuardedbyFixture(t *testing.T) { runFixture(t, "guardedby", newGuardedby()) }
-
-func TestWiredispatchFixture(t *testing.T) { runFixture(t, "wiredispatch", newWiredispatch()) }
-
 func TestLockorderFixture(t *testing.T) { runFixture(t, "lockorder", newLockorder()) }
-
-func TestAtomicmixFixture(t *testing.T) { runFixture(t, "atomicmix", newAtomicmix()) }
 
 func TestChanownerFixture(t *testing.T) { runFixture(t, "chanowner", newChanowner()) }
 
@@ -122,22 +113,7 @@ func TestRepoClean(t *testing.T) {
 	if err != nil {
 		t.Fatalf("loading repo: %v", err)
 	}
-	findings := Run(prog, All())
-	// The committed baseline holds the justified remaining findings
-	// (the codec's allocations pending ROADMAP item 4); anything beyond
-	// it is a regression.
-	if base := filepath.Join(root, "lint.baseline.json"); fileExists(base) {
-		findings, err = ApplyBaseline(findings, root, base)
-		if err != nil {
-			t.Fatalf("applying baseline: %v", err)
-		}
-	}
-	for _, f := range findings {
+	for _, f := range Run(prog, All()) {
 		t.Errorf("%s", f)
 	}
-}
-
-func fileExists(path string) bool {
-	_, err := os.Stat(path)
-	return err == nil
 }

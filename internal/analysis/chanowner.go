@@ -218,3 +218,13 @@ func (a *chanowner) checkSends(prog *Program, pkg *Package, stmt ast.Stmt, close
 		Message:  fmt.Sprintf("send on %s after close: the channel was closed earlier in this function", types.ExprString(send.Chan)),
 	})
 }
+
+// fieldVarOf resolves a selector to the struct field it reads, if any.
+func fieldVarOf(info *types.Info, sel *ast.SelectorExpr) *types.Var {
+	selection := info.Selections[sel]
+	if selection == nil || selection.Kind() != types.FieldVal {
+		return nil
+	}
+	v, _ := selection.Obj().(*types.Var)
+	return v
+}

@@ -7,42 +7,35 @@ import (
 	"go/types"
 )
 
-// ipstate.go is the interprocedural layer shared by lockorder, lockhold
-// and guardedby. One pass over every production package (driven by the
+// ipstate.go is the interprocedural layer shared by lockorder and
+// lockhold. One pass over every production package (driven by the
 // same lockScanner the intraprocedural analyzers use) produces a
 // summary per function — blocking operations, canonical mutex
 // acquisitions and outgoing call sites, each with the lock state in
-// force — and three fixpoints propagate those facts along the call
+// force — and two fixpoints propagate those facts along the call
 // graph built by callgraph.go:
 //
 //   - mayBlock: the function can transitively reach a blocking
 //     operation (channel op, blocking select, blocking API call)
 //     without an intervening goroutine launch. A witness chain is kept
 //     for reporting.
-//   - mustEntry: canonical locks held on *every* static call path
-//     reaching the function (intersection over call sites). Exported
-//     functions and functions used as values are forced to the empty
-//     set: callers outside the analyzed source (tests, reflection,
-//     stored handlers) are invisible, so nothing may be assumed.
 //   - mayEntry: canonical locks held on *some* call path (union), with
 //     one witness predecessor per lock for chain reconstruction. This
 //     feeds the lock-order graph.
 type funcSum struct {
-	obj      *types.Func   // nil for function literals
-	lit      *ast.FuncLit  // nil for declared functions
-	decl     *ast.FuncDecl // nil for function literals
-	pkg      *Package
-	pos      token.Pos
-	name     string
-	exported bool
+	obj  *types.Func   // nil for function literals
+	lit  *ast.FuncLit  // nil for declared functions
+	decl *ast.FuncDecl // nil for function literals
+	pkg  *Package
+	pos  token.Pos
+	name string
 
 	blocks   []blockOp
 	acquires []acqOp
 	calls    []callOp
 
-	mayBlock  *blockChain
-	mustEntry map[string]bool
-	mayEntry  map[string]entrySrc
+	mayBlock *blockChain
+	mayEntry map[string]entrySrc
 }
 
 // blockOp is one directly blocking operation in a function body.
@@ -90,15 +83,14 @@ type entrySrc struct {
 }
 
 type engine struct {
-	prog     *Program
-	sums     []*funcSum
-	byObj    map[*types.Func]*funcSum
-	byLit    map[*ast.FuncLit]*funcSum
-	valueRef map[*types.Func]bool // function referenced as a value somewhere
+	prog  *Program
+	sums  []*funcSum
+	byObj map[*types.Func]*funcSum
+	byLit map[*ast.FuncLit]*funcSum
 }
 
 // engine builds the interprocedural engine once per Program and caches
-// it, so lockorder, lockhold and guardedby share one computation.
+// it, so every interprocedural analyzer shares one computation.
 func (p *Program) engine() *engine {
 	if p.eng == nil {
 		p.eng = buildEngine(p)
@@ -108,10 +100,9 @@ func (p *Program) engine() *engine {
 
 func buildEngine(prog *Program) *engine {
 	e := &engine{
-		prog:     prog,
-		byObj:    make(map[*types.Func]*funcSum),
-		byLit:    make(map[*ast.FuncLit]*funcSum),
-		valueRef: make(map[*types.Func]bool),
+		prog:  prog,
+		byObj: make(map[*types.Func]*funcSum),
+		byLit: make(map[*ast.FuncLit]*funcSum),
 	}
 	for _, pkg := range prog.Pkgs {
 		v := &ipVisitor{eng: e, pkg: pkg, litMode: make(map[*ast.FuncLit]litLaunch)}
@@ -120,7 +111,6 @@ func buildEngine(prog *Program) *engine {
 	}
 	e.link()
 	e.computeMayBlock()
-	e.computeMustEntry()
 	e.computeMayEntry()
 	return e
 }
@@ -156,7 +146,7 @@ func (v *ipVisitor) enterFunc(node ast.Node) {
 	switch n := node.(type) {
 	case *ast.FuncDecl:
 		fn, _ := v.pkg.Info.Defs[n.Name].(*types.Func)
-		sum = &funcSum{obj: fn, decl: n, pkg: v.pkg, pos: n.Pos(), name: displayName(fn), exported: n.Name.IsExported()}
+		sum = &funcSum{obj: fn, decl: n, pkg: v.pkg, pos: n.Pos(), name: displayName(fn)}
 		if fn != nil {
 			v.eng.byObj[fn] = sum
 		}
@@ -214,34 +204,20 @@ func (v *ipVisitor) walkExprs(exprs []ast.Expr, held heldSet) {
 	}
 }
 
-// walkExpr records call sites, channel receives and function-value
-// references inside one expression, staying out of nested literals
-// (the scanner walks those itself).
+// walkExpr records call sites and channel receives inside one
+// expression, staying out of nested literals (the scanner walks those
+// itself).
 func (v *ipVisitor) walkExpr(e ast.Expr, held heldSet) {
 	if e == nil {
 		return
 	}
 	cur := v.current()
-	// skip marks identifiers that are the callee of an enclosing call —
-	// those are call uses, not value references. ast.Inspect is
-	// pre-order, so a CallExpr marks its Fun before the Fun is visited.
-	skip := make(map[ast.Node]bool)
 	ast.Inspect(e, func(n ast.Node) bool {
 		switch n := n.(type) {
 		case *ast.FuncLit:
 			return false
 		case *ast.CallExpr:
 			v.recordCall(n, held, false, false)
-			skip[unwrapFun(n.Fun)] = true
-		case *ast.SelectorExpr:
-			skip[n.Sel] = true
-			if !skip[n] {
-				v.noteValueRef(n.Sel)
-			}
-		case *ast.Ident:
-			if !skip[n] {
-				v.noteValueRef(n)
-			}
 		case *ast.UnaryExpr:
 			if n.Op == token.ARROW {
 				cur.blocks = append(cur.blocks, blockOp{"channel receive", n.Pos()})
@@ -249,15 +225,6 @@ func (v *ipVisitor) walkExpr(e ast.Expr, held heldSet) {
 		}
 		return true
 	})
-}
-
-// noteValueRef records that a module function is used as a value (stored
-// in a field, registered as a handler, …). Such functions have callers
-// the call graph cannot see, so mustEntry treats them as roots.
-func (v *ipVisitor) noteValueRef(id *ast.Ident) {
-	if fn, ok := v.pkg.Info.Uses[id].(*types.Func); ok && v.moduleFunc(fn) {
-		v.eng.valueRef[fn] = true
-	}
 }
 
 func (v *ipVisitor) moduleFunc(fn *types.Func) bool {
@@ -382,105 +349,6 @@ func blockChainString(t *funcSum) string {
 		s += " → " + step
 	}
 	return s + " → " + t.mayBlock.what
-}
-
-// computeMustEntry intersects, per function, the canonical lock sets
-// held at every visible call site. The iteration is optimistic (unknown
-// callers are skipped) and monotonically decreasing once a set exists;
-// cycles unreachable from any root are clamped to the empty set.
-func (e *engine) computeMustEntry() {
-	type inEdge struct {
-		caller *funcSum
-		held   map[string]token.Pos
-	}
-	in := make(map[*funcSum][]inEdge)
-	for _, s := range e.sums {
-		for i := range s.calls {
-			c := &s.calls[i]
-			if c.isGo || c.dynamic {
-				continue
-			}
-			for _, t := range c.callees {
-				in[t] = append(in[t], inEdge{s, c.canonHeld})
-			}
-		}
-	}
-	rooted := func(s *funcSum) bool {
-		if s.exported || (s.obj != nil && e.valueRef[s.obj]) {
-			return true
-		}
-		return len(in[s]) == 0
-	}
-	for _, s := range e.sums {
-		if rooted(s) {
-			s.mustEntry = map[string]bool{}
-		}
-	}
-	maxRounds := 2*len(e.sums) + 4
-	for round := 0; round < maxRounds; round++ {
-		changed := false
-		for _, t := range e.sums {
-			if rooted(t) {
-				continue
-			}
-			var acc map[string]bool
-			have := false
-			for _, ed := range in[t] {
-				if ed.caller.mustEntry == nil {
-					continue
-				}
-				contrib := make(map[string]bool, len(ed.held)+len(ed.caller.mustEntry))
-				for k := range ed.held {
-					contrib[k] = true
-				}
-				for k := range ed.caller.mustEntry {
-					contrib[k] = true
-				}
-				if !have {
-					acc, have = contrib, true
-					continue
-				}
-				for k := range acc {
-					if !contrib[k] {
-						delete(acc, k)
-					}
-				}
-			}
-			if have && !sameKeys(acc, t.mustEntry) {
-				t.mustEntry = acc
-				changed = true
-			}
-		}
-		if !changed {
-			clamped := false
-			for _, s := range e.sums {
-				if s.mustEntry == nil {
-					s.mustEntry = map[string]bool{}
-					clamped = true
-				}
-			}
-			if !clamped {
-				return
-			}
-		}
-	}
-	for _, s := range e.sums {
-		if s.mustEntry == nil {
-			s.mustEntry = map[string]bool{}
-		}
-	}
-}
-
-func sameKeys(a map[string]bool, b map[string]bool) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for k := range a {
-		if !b[k] {
-			return false
-		}
-	}
-	return true
 }
 
 // computeMayEntry unions, per function, the canonical locks held at any

@@ -152,6 +152,13 @@ func (l *loader) load(path string) (*types.Package, error) {
 		if e.IsDir() || !strings.HasSuffix(name, ".go") || isTestFile(name) {
 			continue
 		}
+		// Skip files the default build excludes (//go:build race,
+		// _windows.go, …), as the compiler does.
+		if ok, err := build.Default.MatchFile(dir, name); err != nil {
+			return nil, err
+		} else if !ok {
+			continue
+		}
 		f, err := parser.ParseFile(l.fset, filepath.Join(dir, name), nil, parser.ParseComments)
 		if err != nil {
 			return nil, err
@@ -210,8 +217,8 @@ func hasGoFiles(dir string) (bool, error) {
 // excluded from every analyzer — the suite enforces invariants of the
 // shipped daemon, and tests legitimately sleep, block and leak
 // goroutines. Excluding them here (rather than per-analyzer allowlists)
-// keeps production-only passes like sleepfree and golifecycle from ever
-// seeing test code; analysis_test.go carries a regression fixture for
+// keeps production-only passes like sleepfree from ever seeing test
+// code; analysis_test.go carries a regression fixture for
 // this.
 func isTestFile(name string) bool {
 	return strings.HasSuffix(name, "_test.go")

@@ -6,8 +6,8 @@ import (
 	"go/types"
 )
 
-// lockstate.go is the shared conservative lock tracker behind lockhold
-// and guardedby. It walks a function body in source order and maintains
+// lockstate.go is the conservative lock tracker behind lockhold and
+// the interprocedural engine (ipstate.go). It walks a function body in source order and maintains
 // the set of sync.Mutex/RWMutex values known to be held at each
 // statement, keyed by the printed receiver expression ("m.mu"). Control
 // flow is approximated: branches are scanned with a copy of the state and
@@ -15,7 +15,7 @@ import (
 // only if every surviving path holds it); branches that end in
 // return/break/continue don't contribute to the merge. A deferred Unlock
 // leaves the mutex held to the end of the function, which is exactly what
-// both analyzers want to see. Function literals are scanned as fresh
+// lockhold wants to see. Function literals are scanned as fresh
 // functions: a goroutine does not inherit its creator's locks.
 
 // heldLock records one held mutex.
@@ -65,12 +65,6 @@ type lockVisitor interface {
 type lockScanner struct {
 	info *types.Info
 	v    lockVisitor
-	// entry, when set, supplies locks already held when a declared
-	// function is entered (e.g. the interprocedural must-held-at-entry
-	// set). It is consulted for FuncDecls only; literals inherit held
-	// state from their creation site where the language guarantees
-	// synchronous execution.
-	entry func(node ast.Node) heldSet
 }
 
 // scanPackage walks every function declaration in the package.
@@ -87,13 +81,7 @@ func (s *lockScanner) scanPackage(pkg *Package) {
 }
 
 func (s *lockScanner) scanFunc(node ast.Node, body *ast.BlockStmt) {
-	held := make(heldSet)
-	if _, ok := node.(*ast.FuncDecl); ok && s.entry != nil {
-		for k, v := range s.entry(node) {
-			held[k] = v
-		}
-	}
-	s.scanFuncEntry(node, body, held)
+	s.scanFuncEntry(node, body, make(heldSet))
 }
 
 // scanFuncEntry scans one function with an explicit entry lock state.

@@ -6,46 +6,77 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/race"
 	"repro/internal/types"
 	"repro/internal/wire"
 )
 
-// BenchmarkQueue measures one push plus one pop against a standing
-// backlog. The cost must not depend on the depth, and the steady state
-// must not allocate (gated in bench.allocs.json). Frames cycle through
+type fq = queue[*wire.Microframe]
+
+// queuePops are the two picks BenchmarkQueue and TestAllocs measure.
+var queuePops = []struct {
+	name string
+	pop  func(*fq) (*wire.Microframe, time.Time, bool)
+}{
+	{"fifo", (*fq).pop},
+	{"surrender", (*fq).popSurrender},
+}
+
+var queueDepths = []int{1, 100, 10000}
+
+// queueOp is one BenchmarkQueue iteration: one push plus one pop
+// against a standing backlog of depth frames. Frames cycle through
 // three priorities so both picks have buckets to choose between.
-func BenchmarkQueue(b *testing.B) {
-	type fq = queue[*wire.Microframe]
-	pops := []struct {
-		name string
-		pop  func(*fq) (*wire.Microframe, time.Time, bool)
-	}{
-		{"fifo", (*fq).pop},
-		{"surrender", (*fq).popSurrender},
-	}
+func queueOp(tb testing.TB, pop func(*fq) (*wire.Microframe, time.Time, bool), depth int) func() {
 	prios := [...]types.Priority{types.PriorityLow, types.PriorityNormal, types.PriorityHigh}
 	frames := make([]*wire.Microframe, len(prios))
 	for i, p := range prios {
 		frames[i] = qframe(uint64(i+1), p)
 	}
-	for _, p := range pops {
-		for _, depth := range []int{1, 100, 10000} {
+	var q fq
+	for i := 0; i < depth; i++ {
+		f := frames[i%len(frames)]
+		q.push(f, f.Prio, time.Time{})
+	}
+	i := 0
+	return func() {
+		f := frames[i%len(frames)]
+		i++
+		q.push(f, f.Prio, time.Time{})
+		if _, _, ok := pop(&q); !ok {
+			tb.Fatal("pop from a non-empty queue failed")
+		}
+	}
+}
+
+// BenchmarkQueue measures queueOp. The cost must not depend on the
+// depth, and TestAllocs holds the steady state to zero allocations.
+func BenchmarkQueue(b *testing.B) {
+	for _, p := range queuePops {
+		for _, depth := range queueDepths {
 			b.Run(fmt.Sprintf("%s/depth=%d", p.name, depth), func(b *testing.B) {
-				var q fq
-				for i := 0; i < depth; i++ {
-					f := frames[i%len(frames)]
-					q.push(f, f.Prio, time.Time{})
-				}
+				op := queueOp(b, p.pop, depth)
 				b.ReportAllocs()
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					f := frames[i%len(frames)]
-					q.push(f, f.Prio, time.Time{})
-					if _, _, ok := p.pop(&q); !ok {
-						b.Fatal("pop from a non-empty queue failed")
-					}
+					op()
 				}
 			})
+		}
+	}
+}
+
+// TestAllocs is the queue's allocation gate: a push plus a pop must not
+// allocate at any depth, under either pick.
+func TestAllocs(t *testing.T) {
+	if race.Enabled {
+		t.Skip("allocation gates run without the race detector")
+	}
+	for _, p := range queuePops {
+		for _, depth := range queueDepths {
+			if got := testing.AllocsPerRun(1000, queueOp(t, p.pop, depth)); got != 0 {
+				t.Errorf("Queue/%s/depth=%d: %v allocs/op, want 0", p.name, depth, got)
+			}
 		}
 	}
 }

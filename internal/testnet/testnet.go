@@ -2,6 +2,12 @@
 // network + network manager + message bus + cluster manager + gossip)
 // for the manager test suites. It is the shared scaffolding those tests hang
 // their manager-under-test onto.
+//
+// It is test-only: no production package imports it. Nine manager test
+// suites (accounting, checkpoint, cluster, code, exec, iomgr, memory,
+// program, sched) build their clusters through it, where each would
+// otherwise carry a private copy of the same wiring that drifts as the
+// stack changes. That is why it is kept although nothing ships it.
 package testnet
 
 import (

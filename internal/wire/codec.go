@@ -13,9 +13,9 @@
 // The hot path is allocation-free: Writers draw pooled, size-classed
 // buffers (GetWriter/Release, pool.go) and write with ensure-then-put
 // primitives instead of append, and Decoder (message.go) reuses one
-// scratch payload per kind with Reader views into the input buffer. The
-// allocfree analyzer enforces this with an empty baseline; the CI bench
-// job enforces 0 allocs/op on BenchmarkEncode/BenchmarkDecode.
+// scratch payload per kind with Reader views into the input buffer.
+// TestAllocs (codec_bench_test.go) holds the encode and decode paths of
+// the hot message kinds to 0 allocs/op.
 package wire
 
 import (

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"testing"
 
+	"repro/internal/race"
 	"repro/internal/types"
 )
 
@@ -39,64 +40,103 @@ func benchMessages() []*Message {
 	return out
 }
 
-// BenchmarkEncode exercises the production encode path: a pooled
-// Writer per message, released after the bytes are consumed. The CI
-// allocation gate requires 0 allocs/op here.
+// encodeOp is one BenchmarkEncode iteration: the production encode
+// path, a pooled Writer per message released after the bytes are
+// consumed.
+func encodeOp(m *Message) func() {
+	return func() {
+		w := GetWriter(0)
+		m.Encode(w)
+		w.Release()
+	}
+}
+
+// decodeOp is one BenchmarkDecode iteration: the zero-allocation decode
+// path, a Decoder with reused scratch and aliasing views.
+func decodeOp(tb testing.TB, m *Message) func() {
+	buf := m.EncodeBytes()
+	d := NewDecoder()
+	return func() {
+		if _, err := d.Decode(buf); err != nil {
+			tb.Fatal(err)
+		}
+	}
+}
+
+// materializeOp is one BenchmarkDecodeMaterialize iteration: the
+// bus-facing decode, which allocates by design because the bus retains
+// what it decodes.
+func materializeOp(tb testing.TB, m *Message) func() {
+	buf := m.EncodeBytes()
+	return func() {
+		if _, err := DecodeBytes(buf); err != nil {
+			tb.Fatal(err)
+		}
+	}
+}
+
+// benchOp runs op b.N times after one warm-up call, so the first
+// iteration's pool misses don't smear into the per-op averages.
+func benchOp(b *testing.B, op func()) {
+	op()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		op()
+	}
+}
+
 func BenchmarkEncode(b *testing.B) {
 	for _, m := range benchMessages() {
-		b.Run(m.Payload.Kind().String(), func(b *testing.B) {
-			// Warm the buffer pools so the first iterations' pool
-			// misses don't smear into the per-op averages.
-			w := GetWriter(0)
-			m.Encode(w)
-			w.Release()
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				w := GetWriter(0)
-				m.Encode(w)
-				w.Release()
-			}
-		})
+		b.Run(m.Payload.Kind().String(), func(b *testing.B) { benchOp(b, encodeOp(m)) })
 	}
 }
 
-// BenchmarkDecode exercises the zero-allocation decode path (Decoder
-// with reused scratch and aliasing views). The CI allocation gate
-// requires 0 allocs/op here.
 func BenchmarkDecode(b *testing.B) {
 	for _, m := range benchMessages() {
-		buf := m.EncodeBytes()
-		b.Run(m.Payload.Kind().String(), func(b *testing.B) {
-			d := NewDecoder()
-			if _, err := d.Decode(buf); err != nil {
-				b.Fatal(err)
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := d.Decode(buf); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
+		b.Run(m.Payload.Kind().String(), func(b *testing.B) { benchOp(b, decodeOp(b, m)) })
 	}
 }
 
-// BenchmarkDecodeMaterialize tracks the bus-facing materializing decode
-// for the trajectory log; it allocates by design (the bus retains what
-// it decodes) and the gate only insists allocs/op never grow.
 func BenchmarkDecodeMaterialize(b *testing.B) {
 	for _, m := range benchMessages() {
-		buf := m.EncodeBytes()
-		b.Run(m.Payload.Kind().String(), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if _, err := DecodeBytes(buf); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
+		b.Run(m.Payload.Kind().String(), func(b *testing.B) { benchOp(b, materializeOp(b, m)) })
+	}
+}
+
+// materializeCeiling is the allocs/op ceiling of each materializing
+// decode. It carries a little headroom because map-internals allocation
+// counts shift between Go releases.
+var materializeCeiling = map[Kind]float64{
+	KindApplyParam:         6,
+	KindHelpReply:          26,
+	KindMemInvalidateBatch: 6,
+	KindMemWrite:           6,
+	KindMemReadReplica:     5,
+	KindMemReplicaData:     6,
+}
+
+// TestAllocs is the allocation gate: the encode and decode benchmarks'
+// bodies must not allocate, and the materializing decode must stay
+// within its ceiling.
+func TestAllocs(t *testing.T) {
+	if race.Enabled {
+		t.Skip("sync.Pool drops Puts at random under the race detector")
+	}
+	for _, m := range benchMessages() {
+		k := m.Payload.Kind()
+		assertAllocs(t, "Encode/"+k.String(), 0, encodeOp(m))
+		assertAllocs(t, "Decode/"+k.String(), 0, decodeOp(t, m))
+		assertAllocs(t, "DecodeMaterialize/"+k.String(), materializeCeiling[k], materializeOp(t, m))
+	}
+}
+
+// assertAllocs fails the test if op averages more than max allocations
+// per run.
+func assertAllocs(t *testing.T, name string, max float64, op func()) {
+	t.Helper()
+	if got := testing.AllocsPerRun(1000, op); got > max {
+		t.Errorf("%s: %v allocs/op, want <= %v", name, got, max)
 	}
 }
 

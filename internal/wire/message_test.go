@@ -286,8 +286,14 @@ func TestKindStringsUnique(t *testing.T) {
 
 func TestAllKindsRegistered(t *testing.T) {
 	for k := KindInvalid + 1; k < kindCount; k++ {
-		if NewPayload(k) == nil && !retired(k) {
+		if retired(k) {
+			continue
+		}
+		if NewPayload(k) == nil {
 			t.Errorf("kind %v has no registered factory", k)
+		}
+		if _, named := kindNames[k]; !named {
+			t.Errorf("kind %v has no kindNames entry", k)
 		}
 	}
 	if NewPayload(KindInvalid) != nil {
