@@ -67,34 +67,15 @@ func (m *Manager) accountLocked(prog types.ProgramID) *wire.Usage {
 	return u
 }
 
-// RecordExecution books one finished microthread.
-func (m *Manager) RecordExecution(prog types.ProgramID, busy time.Duration) {
-	m.mu.Lock()
-	u := m.accountLocked(prog)
-	u.Executed++
-	u.BusyNanos += int64(busy)
-	m.mu.Unlock()
-}
-
-// RecordExecution2 is the processing manager's combined per-execution
-// hook: one microthread finished after busy wall-clock time, having
-// spent workUnits of Context.Work.
-func (m *Manager) RecordExecution2(prog types.ProgramID, busy time.Duration, workUnits float64) {
+// RecordExecution is the processing manager's per-execution hook: one
+// microthread finished after busy wall-clock time, having spent
+// workUnits of Context.Work.
+func (m *Manager) RecordExecution(prog types.ProgramID, busy time.Duration, workUnits float64) {
 	m.mu.Lock()
 	u := m.accountLocked(prog)
 	u.Executed++
 	u.BusyNanos += int64(busy)
 	u.WorkUnits += workUnits
-	m.mu.Unlock()
-}
-
-// RecordWork books Context.Work cost.
-func (m *Manager) RecordWork(prog types.ProgramID, cost float64) {
-	if cost <= 0 {
-		return
-	}
-	m.mu.Lock()
-	m.accountLocked(prog).WorkUnits += cost
 	m.mu.Unlock()
 }
 

@@ -24,8 +24,8 @@ func TestLocalRecording(t *testing.T) {
 	_, mgrs := acctCluster(t, 1)
 	m := mgrs[0]
 
-	m.RecordExecution2(prog(), 10*time.Millisecond, 2.5)
-	m.RecordExecution2(prog(), 5*time.Millisecond, 1.5)
+	m.RecordExecution(prog(), 10*time.Millisecond, 2.5)
+	m.RecordExecution(prog(), 5*time.Millisecond, 1.5)
 	m.RecordTraffic(prog(), 100)
 	m.RecordTraffic(prog(), 50)
 	m.RecordOutput(prog())
@@ -63,7 +63,7 @@ func TestClusterUsageAggregates(t *testing.T) {
 	_, mgrs := acctCluster(t, 3)
 	for i, m := range mgrs {
 		for j := 0; j <= i; j++ {
-			m.RecordExecution2(prog(), time.Millisecond, 1)
+			m.RecordExecution(prog(), time.Millisecond, 1)
 		}
 	}
 	total, perSite := mgrs[0].ClusterUsage(prog())
@@ -80,7 +80,7 @@ func TestClusterUsageAggregates(t *testing.T) {
 
 func TestClusterUsageSkipsZeroSilently(t *testing.T) {
 	_, mgrs := acctCluster(t, 2)
-	mgrs[0].RecordExecution2(prog(), time.Millisecond, 1)
+	mgrs[0].RecordExecution(prog(), time.Millisecond, 1)
 	// Site 1 never saw the program; its zero account still aggregates.
 	total, perSite := mgrs[1].ClusterUsage(prog())
 	if total.Executed != 1 {
@@ -94,8 +94,8 @@ func TestClusterUsageSkipsZeroSilently(t *testing.T) {
 func TestUsageQueryAllPrograms(t *testing.T) {
 	_, mgrs := acctCluster(t, 2)
 	p2 := types.MakeProgramID(1, 2)
-	mgrs[1].RecordExecution2(prog(), time.Millisecond, 1)
-	mgrs[1].RecordExecution2(p2, time.Millisecond, 1)
+	mgrs[1].RecordExecution(prog(), time.Millisecond, 1)
+	mgrs[1].RecordExecution(p2, time.Millisecond, 1)
 
 	reply, err := mgrs[0].bus.Request(mgrs[1].bus.Self(), types.MgrAccounting, types.MgrAccounting,
 		&wire.UsageQuery{Program: 0}, 3*time.Second)
@@ -113,7 +113,7 @@ func TestUsageQueryAllPrograms(t *testing.T) {
 
 func TestDropProgram(t *testing.T) {
 	_, mgrs := acctCluster(t, 1)
-	mgrs[0].RecordExecution2(prog(), time.Millisecond, 1)
+	mgrs[0].RecordExecution(prog(), time.Millisecond, 1)
 	mgrs[0].DropProgram(prog())
 	if got := mgrs[0].LocalUsage(prog()); got.Executed != 0 {
 		t.Error("usage survived DropProgram")

@@ -8,7 +8,7 @@ import (
 	"strings"
 )
 
-// allocfree enforces ROADMAP item 4's gate: a function annotated
+// allocfree enforces the allocation-free hot path: a function annotated
 //
 //	//sdvm:hotpath
 //

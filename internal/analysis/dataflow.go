@@ -129,7 +129,7 @@ func (e *engine) reachSync(roots []*funcSum, follow func(*callOp) bool) map[*fun
 }
 
 // hotpathDirective is the annotation marking a function whose transitive
-// execution must stay allocation-free (ROADMAP item 4's enforcement
+// execution must stay allocation-free (allocfree's enforcement
 // hook). It sits in the doc comment block of a function declaration:
 //
 //	//sdvm:hotpath

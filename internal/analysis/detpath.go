@@ -8,7 +8,7 @@ import (
 	"strings"
 )
 
-// detpath guards ROADMAP item 5's contract: every adaptive decision
+// detpath guards the seeded-determinism contract: every adaptive decision
 // must be deterministic under a seed, so the chaos CI job can script a
 // scenario and byte-compare its report across runs. A function whose
 // output must be a pure function of its (seeded) inputs is annotated

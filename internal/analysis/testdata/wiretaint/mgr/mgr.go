@@ -25,6 +25,22 @@ func decodeGuarded(r *wire.Reader) []byte {
 	return make([]byte, n) // quiet: guard-and-bail upper bound
 }
 
+func decodeLowerBoundOnly(r *wire.Reader) []byte {
+	n := int32(r.Uint32())
+	if n < 0 {
+		return nil
+	}
+	return make([]byte, n) // want "size make without validation"
+}
+
+func decodeBothBounds(r *wire.Reader) []byte {
+	n := int32(r.Uint32())
+	if n < 0 || n > 1024 {
+		return nil
+	}
+	return make([]byte, n) // quiet: the bail leaves 0 <= n <= 1024
+}
+
 func decodeSliceLen(r *wire.Reader) []int {
 	n := r.SliceLen(4, "list")
 	return make([]int, n) // quiet: SliceLen is the sanctioned validator
@@ -48,6 +64,14 @@ func indexCompared(r *wire.Reader, table []int) int {
 		return table[i] // quiet: upper-bound comparison
 	}
 	return 0
+}
+
+func indexAfterCompared(r *wire.Reader, table []int) int {
+	i := int(r.Uint32())
+	if i < len(table) {
+		table[0]++
+	}
+	return table[i] // want "index without bounds validation"
 }
 
 func indexModulo(r *wire.Reader, table []int) int {

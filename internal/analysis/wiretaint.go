@@ -171,12 +171,14 @@ type wtState struct {
 
 // fnCtx is the per-function analysis context.
 type fnCtx struct {
-	w         *wtState
-	s         *funcSum
-	info      *types.Info
-	paramIdx  map[types.Object]int
-	objBits   map[types.Object]uint64
-	validated map[string]bool
+	w        *wtState
+	s        *funcSum
+	info     *types.Info
+	paramIdx map[types.Object]int
+	objBits  map[types.Object]uint64
+	// validated maps an expression to the scopes in which a check bounds
+	// it; a nil scope is the whole function.
+	validated map[string][]ast.Node
 }
 
 // analyze runs the local taint analysis for one function, folding the
@@ -193,7 +195,7 @@ func (w *wtState) analyze(s *funcSum, report func(token.Pos, string)) bool {
 		info:      s.pkg.Info,
 		paramIdx:  make(map[types.Object]int),
 		objBits:   make(map[types.Object]uint64),
-		validated: make(map[string]bool),
+		validated: make(map[string][]ast.Node),
 	}
 	if sig := funcSig(s); sig != nil {
 		for i := 0; i < sig.Params().Len(); i++ {
@@ -279,13 +281,23 @@ func (c *fnCtx) propagateOnce(body *ast.BlockStmt, useValidated bool) bool {
 	return changed
 }
 
+// isValidated reports whether a check bounds e at e's position.
+func (c *fnCtx) isValidated(e ast.Expr) bool {
+	for _, scope := range c.validated[types.ExprString(e)] {
+		if scope == nil || (scope.Pos() <= e.Pos() && e.Pos() < scope.End()) {
+			return true
+		}
+	}
+	return false
+}
+
 // taintOf evaluates the taint bits of an expression. With useValidated,
 // expressions recognized as validated evaluate clean.
 func (c *fnCtx) taintOf(e ast.Expr, useValidated bool) uint64 {
 	if e == nil {
 		return 0
 	}
-	if useValidated && c.validated[types.ExprString(e)] {
+	if useValidated && c.isValidated(e) {
 		return 0
 	}
 	switch x := e.(type) {
@@ -461,36 +473,51 @@ func wireStruct(t types.Type) bool {
 func (c *fnCtx) collectValidations(body *ast.BlockStmt) {
 	info := c.info
 	// Comparisons inside for-conditions are loop-bound sinks, never
-	// validations.
+	// validations. Comparisons inside if-conditions are judged once, by
+	// the IfStmt case, which knows which branch bails.
 	inForCond := make(map[ast.Node]bool)
+	inIfCond := make(map[ast.Node]bool)
 	ast.Inspect(body, func(n ast.Node) bool {
-		if f, ok := n.(*ast.ForStmt); ok && f.Cond != nil {
-			ast.Inspect(f.Cond, func(m ast.Node) bool {
-				inForCond[m] = true
+		switch n := n.(type) {
+		case *ast.ForStmt:
+			if n.Cond != nil {
+				ast.Inspect(n.Cond, func(m ast.Node) bool {
+					inForCond[m] = true
+					return true
+				})
+			}
+		case *ast.IfStmt:
+			ast.Inspect(n.Cond, func(m ast.Node) bool {
+				inIfCond[m] = true
 				return true
 			})
 		}
 		return true
 	})
-	// mark records an expression as validated, unwrapping parens and
-	// conversions so a check on uint64(n) also validates n.
-	var mark func(e ast.Expr)
-	mark = func(e ast.Expr) {
-		c.validated[types.ExprString(e)] = true
+	// markIn records an expression as validated within scope (nil: the
+	// whole function), unwrapping parens and conversions so a check on
+	// uint64(n) also validates n.
+	var markIn func(e ast.Expr, scope ast.Node)
+	markIn = func(e ast.Expr, scope ast.Node) {
+		key := types.ExprString(e)
+		c.validated[key] = append(c.validated[key], scope)
 		switch x := e.(type) {
 		case *ast.ParenExpr:
-			mark(x.X)
+			markIn(x.X, scope)
 		case *ast.CallExpr:
 			if tv, ok := info.Types[x.Fun]; ok && tv.IsType() && len(x.Args) == 1 {
-				mark(x.Args[0])
+				markIn(x.Args[0], scope)
 			}
 		}
 	}
-	// cmpValidates records bounds established by one comparison. Upper
-	// bounds (tainted on the small side) validate unconditionally; lower
-	// bounds validate only in the guard-and-bail idiom, which the IfStmt
-	// case below handles with branch knowledge.
-	cmpValidates := func(b *ast.BinaryExpr, bailing bool) {
+	mark := func(e ast.Expr) { markIn(e, nil) }
+	// cmpValidates records bounds established by one comparison. The
+	// side a true comparison bounds from above (X in X < Y) is validated
+	// in trueBranch, the if's body; a comparison outside an if (nil)
+	// validates it everywhere. The other side is validated after a
+	// guard-and-bail (bailing), whose fall-through is the false branch.
+	// So `if n < 0 { return }` bounds n nowhere.
+	cmpValidates := func(b *ast.BinaryExpr, trueBranch ast.Node, bailing bool) {
 		x, y := c.taintOf(b.X, false), c.taintOf(b.Y, false)
 		switch b.Op {
 		case token.EQL, token.NEQ:
@@ -502,14 +529,14 @@ func (c *fnCtx) collectValidations(body *ast.BlockStmt) {
 			}
 		case token.LSS, token.LEQ: // X < Y: X gains an upper bound
 			if x != 0 && y == 0 {
-				mark(b.X)
+				markIn(b.X, trueBranch)
 			}
 			if bailing && y != 0 && x == 0 {
 				mark(b.Y)
 			}
 		case token.GTR, token.GEQ: // X > Y: Y gains an upper bound
 			if y != 0 && x == 0 {
-				mark(b.Y)
+				markIn(b.Y, trueBranch)
 			}
 			if bailing && x != 0 && y == 0 {
 				mark(b.X)
@@ -524,13 +551,13 @@ func (c *fnCtx) collectValidations(body *ast.BlockStmt) {
 			bailing := blockTerminates(n.Body)
 			ast.Inspect(n.Cond, func(m ast.Node) bool {
 				if b, ok := m.(*ast.BinaryExpr); ok && !inForCond[b] {
-					cmpValidates(b, bailing)
+					cmpValidates(b, n.Body, bailing)
 				}
 				return true
 			})
 		case *ast.BinaryExpr:
-			if !inForCond[n] {
-				cmpValidates(n, false)
+			if !inForCond[n] && !inIfCond[n] {
+				cmpValidates(n, nil, false)
 			}
 		case *ast.SwitchStmt:
 			if n.Tag != nil && c.taintOf(n.Tag, false) != 0 {

@@ -93,13 +93,12 @@ type Manager struct {
 	// incarnation starts a fresh epoch sequence). guarded by mu
 	maxSeen map[storeKey]uint64
 
-	recovered uint64 // programs restored after crashes
-	taken     uint64 // checkpoints taken
-	acked     uint64 // checkpoints confirmed stored by the remote site
-
-	// met holds the metrics instruments. The zero value is inert; written
-	// once by SetMetrics before Start.
-	met ckptMetrics
+	// The one count of each event: the accessors read them, and
+	// SetMetrics registers them under their metric names.
+	recovered metrics.Counter // programs restored after crashes
+	taken     metrics.Counter // checkpoints taken
+	acked     metrics.Counter // checkpoints confirmed stored by the remote site
+	stored    metrics.Counter // checkpoints accepted from peers
 
 	// accuse receives the crash verdicts of a site that probes only its
 	// ring successors, as suspicion for the gossip layer to confirm.
@@ -169,34 +168,11 @@ func (m *Manager) Close() {
 	m.wg.Wait()
 }
 
-// Acked returns the number of checkpoints confirmed stored remotely.
-func (m *Manager) Acked() uint64 {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.acked
-}
-
 // Taken returns the number of checkpoints this site has taken.
-func (m *Manager) Taken() uint64 {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.taken
-}
+func (m *Manager) Taken() uint64 { return m.taken.Load() }
 
 // Recovered returns the number of crash recoveries this site performed.
-func (m *Manager) Recovered() uint64 {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.recovered
-}
-
-// Epoch returns this site's own checkpoint epoch counter (monotone by
-// construction; exposed so the chaos invariant checker can observe it).
-func (m *Manager) Epoch() uint64 {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.epoch
-}
+func (m *Manager) Recovered() uint64 { return m.recovered.Load() }
 
 // LedgerEntry describes one stored remote checkpoint alongside the
 // highest epoch ever received for the same (program, origin) key.
@@ -226,27 +202,13 @@ func (m *Manager) StoreLedger() []LedgerEntry {
 	return out
 }
 
-// ckptMetrics bundles the crash manager's instruments; the zero value
-// (nil pointers) disables collection.
-type ckptMetrics struct {
-	taken     *metrics.Counter
-	acked     *metrics.Counter
-	recovered *metrics.Counter
-	stored    *metrics.Counter // checkpoints accepted from peers
-}
-
-// SetMetrics installs the instruments. Must be called before Start; a nil
-// registry leaves metrics disabled.
+// SetMetrics registers the manager's counters. Must be called before
+// Start; a nil registry leaves them unnamed.
 func (m *Manager) SetMetrics(reg *metrics.Registry) {
-	if reg == nil {
-		return
-	}
-	m.met = ckptMetrics{
-		taken:     reg.Counter("ckpt.taken"),
-		acked:     reg.Counter("ckpt.acked"),
-		recovered: reg.Counter("ckpt.recovered"),
-		stored:    reg.Counter("ckpt.stored"),
-	}
+	reg.Register("ckpt.taken", &m.taken)
+	reg.Register("ckpt.acked", &m.acked)
+	reg.Register("ckpt.recovered", &m.recovered)
+	reg.Register("ckpt.stored", &m.stored)
 }
 
 // StoredFor reports whether this site holds a checkpoint of origin's
@@ -296,9 +258,8 @@ func (m *Manager) checkpointProgram(prog types.ProgramID) {
 	m.mu.Lock()
 	m.epoch++
 	epoch := m.epoch
-	m.taken++
 	m.mu.Unlock()
-	m.met.taken.Inc()
+	m.taken.Inc()
 
 	// Request, not Send: a checkpoint that never reached the replica is
 	// worthless, so wait (bounded) for the CheckpointAck and count only
@@ -315,10 +276,7 @@ func (m *Manager) checkpointProgram(prog types.ProgramID) {
 		return
 	}
 	if ack, ok := reply.Payload.(*wire.CheckpointAck); ok && ack.Program == prog && ack.Epoch == epoch {
-		m.mu.Lock()
-		m.acked++
-		m.mu.Unlock()
-		m.met.acked.Inc()
+		m.acked.Inc()
 	}
 }
 
@@ -462,11 +420,8 @@ func (m *Manager) recover(dead types.SiteID) {
 			delete(m.maxSeen, key)
 		}
 	}
-	if len(restores) > 0 {
-		m.recovered += uint64(len(restores))
-		m.met.recovered.Add(uint64(len(restores)))
-	}
 	m.mu.Unlock()
+	m.recovered.Add(uint64(len(restores)))
 
 	for _, cp := range restores {
 		m.mem.Restore(cp.frames, cp.objects)
@@ -510,7 +465,7 @@ func (m *Manager) HandleMessage(msg *wire.Message) {
 			m.store[key] = &stored{epoch: p.Epoch, frames: p.Frames, objects: p.Objects}
 		}
 		m.mu.Unlock()
-		m.met.stored.Inc()
+		m.stored.Inc()
 		_ = m.bus.Reply(msg, types.MgrCheckpoint, &wire.CheckpointAck{Program: p.Program, Epoch: p.Epoch})
 	}
 }

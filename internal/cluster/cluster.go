@@ -298,15 +298,6 @@ func (m *Manager) OnLeave(f func(id types.SiteID, crashed bool)) {
 	m.onChangeMu.Unlock()
 }
 
-// Departed reports whether id is known to have signed off or crashed.
-// Send paths use it to skip peers the roster has marked gone.
-func (m *Manager) Departed(id types.SiteID) bool {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	_, gone := m.departed[id]
-	return gone
-}
-
 // VacatedAddr returns the physical address departed site id listened
 // on, or "" when id has not departed or a live site has since taken the
 // address over — what the network manager may forget about id.

@@ -253,7 +253,7 @@ func New(cfg Config) *Daemon {
 	// Accounting (paper §2.2/§6): meter execution, Work, parameter
 	// traffic, and frontend output per program.
 	d.Acct = accounting.New(d.Bus, d.CM)
-	d.Exec.SetAccountant(d.Acct.RecordExecution2)
+	d.Exec.SetAccountant(d.Acct.RecordExecution)
 	d.Exec.SetInput(d.IO.Input)
 	d.Mem.SetTrafficHook(d.Acct.RecordTraffic)
 	d.IO.SetOutputHook(d.Acct.RecordOutput)

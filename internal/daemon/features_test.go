@@ -1,13 +1,16 @@
 package daemon_test
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 	"time"
 
 	"repro/internal/accounting"
 	"repro/internal/daemon"
+	"repro/internal/metrics"
 	"repro/internal/mthread"
+	"repro/internal/testnet"
 	tracepkg "repro/internal/trace"
 	"repro/internal/types"
 	"repro/internal/wire"
@@ -71,6 +74,9 @@ func TestRemoteStatusQuery(t *testing.T) {
 	if _, ok := ds[0].WaitResult(prog, 60*time.Second); !ok {
 		t.Fatal("did not terminate")
 	}
+	// The result can reach site 0 before site 1's last microthread is
+	// counted; compare only once site 1 has gone quiet.
+	waitExecQuiet(t, ds[1])
 
 	sr, err := ds[0].Site.QueryStatus(ds[1].Self())
 	if err != nil {
@@ -84,6 +90,126 @@ func TestRemoteStatusQuery(t *testing.T) {
 	}
 	if sr.Executed != ds[1].Exec.Executed() {
 		t.Fatalf("remote executed %d != local truth %d", sr.Executed, ds[1].Exec.Executed())
+	}
+}
+
+// waitExecQuiet waits until d runs no microthread and its executed count
+// has held still for 50 ms.
+func waitExecQuiet(t *testing.T, d *daemon.Daemon) {
+	t.Helper()
+	last, since := d.Exec.Executed(), time.Now()
+	testnet.WaitFor(t, "an idle processing manager", func() bool {
+		n := d.Exec.Executed()
+		if d.Exec.Running() != 0 || n != last {
+			last, since = n, time.Now()
+			return false
+		}
+		return time.Since(since) >= 50*time.Millisecond
+	})
+}
+
+// TestStatsAgreeWithRegistry runs a metrics-on 2-site cluster through
+// remote object reads and primes, stops it, and checks that every
+// manager accessor reads the same count as the registry sample of the
+// same event: each event is counted once, so the two cannot disagree.
+func TestStatsAgreeWithRegistry(t *testing.T) {
+	_, ds := testCluster(t, 2, func(_ int, cfg *daemon.Config) { cfg.Metrics = true })
+
+	// Remote reads of an object homed on site 0: a replica fetch, a
+	// replica hit, and a plain owner-served MemRead. They go first: a
+	// program's termination drops every replica.
+	addr := ds[0].Mem.Alloc(types.MakeProgramID(ds[0].Self(), 999), []byte("obj"))
+	for i := 0; i < 2; i++ {
+		if _, err := ds[1].Mem.Read(addr); err != nil {
+			t.Fatal(err)
+		}
+	}
+	reply, err := ds[1].Bus.Request(ds[0].Self(), types.MgrMemory, types.MgrMemory,
+		&wire.MemRead{Addr: addr}, 5*time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r, ok := reply.Payload.(*wire.MemReadReply); !ok || !r.Found {
+		t.Fatalf("owner-served read: %+v", reply.Payload)
+	}
+
+	prog, err := ds[0].Submit(workloads.PrimesApp(), workloads.PrimesArgs(20, 5, 1)...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := ds[0].WaitResult(prog, 60*time.Second); !ok {
+		t.Fatal("did not terminate")
+	}
+
+	for _, d := range ds {
+		d.Kill()
+	}
+	var executed uint64
+	for i, d := range ds {
+		// A stopped site's counts stop moving; read until they have.
+		var got map[string]uint64
+		var flat map[string]int64
+		testnet.WaitFor(t, "frozen counters", func() bool {
+			got = accessorCounts(d)
+			flat = make(map[string]int64)
+			metrics.Merge(flat, d.Metrics.Snapshot())
+			return reflect.DeepEqual(got, accessorCounts(d))
+		})
+		for name, v := range got {
+			if s, ok := flat[name]; !ok || uint64(s) != v {
+				t.Errorf("site %d: accessor reads %s = %d, registry %d (present %v)", i, name, v, s, ok)
+			}
+		}
+		if got["bus.sent_msgs"] == 0 {
+			t.Errorf("site %d sent nothing", i)
+		}
+		executed += got["exec.executed"]
+	}
+	if executed == 0 {
+		t.Error("no microthread counted")
+	}
+	if c := accessorCounts(ds[0]); c["mem.local_reads"] < 2 {
+		t.Errorf("owner served %d reads, want at least 2", c["mem.local_reads"])
+	}
+	if c := accessorCounts(ds[1]); c["mem.remote_reads"] == 0 || c["mem.replica.hits"] == 0 {
+		t.Errorf("reader: remote_reads %d, replica.hits %d", c["mem.remote_reads"], c["mem.replica.hits"])
+	}
+}
+
+// accessorCounts reads every count a manager accessor exposes, keyed by
+// the registry name of the same event.
+func accessorCounts(d *daemon.Daemon) map[string]uint64 {
+	ms, ss := d.Mem.Stats(), d.Sched.Stats()
+	sent, received, dropped := d.Bus.Stats()
+	return map[string]uint64{
+		"mem.local_reads":           ms.LocalReads,
+		"mem.remote_reads":          ms.RemoteReads,
+		"mem.local_writes":          ms.LocalWrites,
+		"mem.remote_writes":         ms.RemoteWrites,
+		"mem.params_applied":        ms.ParamsApplied,
+		"mem.frames_fired":          ms.FramesFired,
+		"mem.migrations":            ms.Migrations,
+		"mem.invalidates":           ms.Invalidates,
+		"mem.invalidate_acks":       ms.InvalidateAcks,
+		"mem.shard.contention":      ms.ShardContention,
+		"mem.replica.hits":          ms.ReplicaHits,
+		"mem.replica.invalidations": ms.ReplicaInvals,
+		"mem.home.migrations":       ms.HomeMigrations,
+		"sched.enqueued":            ss.Enqueued,
+		"sched.dispatched":          ss.Dispatched,
+		"sched.help_asked":          ss.HelpAsked,
+		"sched.help_granted":        ss.HelpGranted,
+		"sched.help_denied":         ss.HelpDenied,
+		"sched.help_served":         ss.HelpServed,
+		"sched.help_refused":        ss.HelpRefused,
+		"sched.resolve_errs":        ss.ResolveErrs,
+		"exec.executed":             d.Exec.Executed(),
+		"exec.errors":               d.Exec.Errors(),
+		"bus.sent_msgs":             sent,
+		"bus.recv_msgs":             received,
+		"bus.dropped":               dropped,
+		"ckpt.taken":                d.Ckpt.Taken(),
+		"ckpt.recovered":            d.Ckpt.Recovered(),
 	}
 }
 

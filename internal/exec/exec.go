@@ -73,13 +73,15 @@ type Manager struct {
 	cfg    Config
 	site   func() types.SiteID
 
-	executed  atomic.Uint64
-	errs      atomic.Uint64
+	// executed and errs are the one count of each event: the accessors
+	// read them, and SetMetrics registers them under their metric names.
+	executed  metrics.Counter
+	errs      metrics.Counter
 	busyNanos atomic.Int64
 	running   atomic.Int32
 
-	// met holds the metrics instruments. The zero value is inert; written
-	// once by SetMetrics before Start.
+	// met holds the histograms. The zero value is inert; written once by
+	// SetMetrics before Start.
 	met execMetrics
 
 	// cpuMu/cpuFree serialize simulated Work per site: a site models
@@ -134,24 +136,23 @@ func New(s *sched.Manager, mem *memory.Manager, site func() types.SiteID,
 // SetTracer installs the event tracer (nil = off).
 func (m *Manager) SetTracer(t *trace.Tracer) { m.tr = t }
 
-// execMetrics bundles the processing manager's instruments; the zero value
+// execMetrics bundles the processing manager's histograms; the zero value
 // (nil pointers) disables collection.
 type execMetrics struct {
-	executed *metrics.Counter
-	errors   *metrics.Counter
 	runTime  *metrics.Histogram // microthread execution time
 	waitTime *metrics.Histogram // worker idle time between microthreads
 }
 
-// SetMetrics installs the instruments. Must be called before Start; a nil
-// registry leaves metrics disabled.
+// SetMetrics registers the manager's counters and installs its
+// histograms. Must be called before Start; a nil registry leaves the
+// counters unnamed and the histograms off.
 func (m *Manager) SetMetrics(reg *metrics.Registry) {
 	if reg == nil {
 		return
 	}
+	reg.Register("exec.executed", &m.executed)
+	reg.Register("exec.errors", &m.errs)
 	m.met = execMetrics{
-		executed: reg.Counter("exec.executed"),
-		errors:   reg.Counter("exec.errors"),
 		runTime:  reg.Histogram("exec.run_time", nil),
 		waitTime: reg.Histogram("exec.wait_time", nil),
 	}
@@ -237,9 +238,10 @@ func (m *Manager) run(r *sched.Ready) {
 	defer func() {
 		busy := time.Since(start)
 		m.busyNanos.Add(int64(busy))
+		// Count before leaving the window, so Running() == 0 implies
+		// every microthread that started is counted.
+		m.executed.Inc()
 		m.running.Add(-1)
-		m.executed.Add(1)
-		m.met.executed.Inc()
 		m.met.runTime.Observe(busy)
 		m.acct(r.Frame.Thread.Program, busy, ctx.worked)
 		if m.tr.Enabled() {
@@ -250,16 +252,14 @@ func (m *Manager) run(r *sched.Ready) {
 			// A panicking microthread must not take the daemon down;
 			// the paper's goal 2 (fault tolerance) applies to buggy
 			// application code, too.
-			m.errs.Add(1)
-			m.met.errors.Inc()
+			m.errs.Inc()
 			m.output(r.Frame.Thread.Program,
 				fmt.Sprintf("microthread %v panicked: %v", r.Frame.Thread, p))
 		}
 	}()
 
 	if err := r.Fn(ctx); err != nil {
-		m.errs.Add(1)
-		m.met.errors.Inc()
+		m.errs.Inc()
 		m.output(r.Frame.Thread.Program,
 			fmt.Sprintf("microthread %v failed: %v", r.Frame.Thread, err))
 	}

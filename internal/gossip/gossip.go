@@ -177,16 +177,6 @@ func (m *Manager) BurstPeers() []types.SiteID {
 	return out
 }
 
-// Round returns the local protocol round (diagnostics, tests).
-func (m *Manager) Round() uint32 {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if m.st == nil {
-		return 0
-	}
-	return m.st.Round()
-}
-
 // HandleMessage implements msgbus.Handler: merge incoming digests
 // (answering with an anti-entropy delta when we know fresher state)
 // and deltas (never answered, so there is no reply ping-pong).

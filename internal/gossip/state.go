@@ -176,18 +176,6 @@ func (s *State) Round() uint32 { return s.round }
 // Size returns the number of rows, tombstones included.
 func (s *State) Size() int { return len(s.ids) }
 
-// AliveIDs returns the ids of all non-tombstone rows in sorted order
-// (tests and diagnostics; O(N), not used on any dissemination path).
-func (s *State) AliveIDs() []types.SiteID {
-	out := make([]types.SiteID, 0, len(s.ids))
-	for _, id := range s.ids {
-		if !Status(s.rows[id].entry.Status).Tombstone() {
-			out = append(out, id)
-		}
-	}
-	return out
-}
-
 // Lookup returns the current entry for id.
 func (s *State) Lookup(id types.SiteID) (wire.GossipEntry, bool) {
 	r, ok := s.rows[id]

@@ -3,12 +3,16 @@ package iomgr
 import (
 	"bytes"
 	"errors"
+	"math"
 	"path/filepath"
+	"runtime"
+	"strings"
 	"sync"
 	"testing"
 
 	"repro/internal/testnet"
 	"repro/internal/types"
+	"repro/internal/wire"
 )
 
 type sinkRec struct {
@@ -141,6 +145,36 @@ func TestRemoteFileAccess(t *testing.T) {
 	}
 	if err := remote.Close(h); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestHostileReadLengthRefused sends the file's home site read requests
+// whose peer-supplied Length is just over maxIOChunk or math.MaxInt32:
+// each must be refused before the reply buffer is made, so the whole
+// round trip allocates far less than the request asked for.
+func TestHostileReadLengthRefused(t *testing.T) {
+	_, mgrs, _ := ioCluster(t, 2)
+	owner, remote := mgrs[0], mgrs[1]
+	h, err := owner.Open(filepath.Join(t.TempDir(), "victim.bin"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := owner.WriteAt(h, 0, []byte("data")); err != nil {
+		t.Fatal(err)
+	}
+	for _, length := range []int32{maxIOChunk + 1, math.MaxInt32} {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, err := remote.request(owner.bus.Self(), &wire.IORequest{
+			Op: wire.IOOpRead, Handle: h, Length: length,
+		})
+		runtime.ReadMemStats(&after)
+		if err == nil || !strings.Contains(err.Error(), "out of range") {
+			t.Fatalf("Length %d: err = %v, want an out-of-range refusal", length, err)
+		}
+		if grew := after.TotalAlloc - before.TotalAlloc; grew > maxIOChunk/2 {
+			t.Fatalf("Length %d: the refused request allocated %d bytes", length, grew)
+		}
 	}
 }
 

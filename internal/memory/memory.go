@@ -187,12 +187,14 @@ type Manager struct {
 	// guarded by logMu
 	grantLog map[types.SiteID][]*wire.Microframe
 
+	// counts is the one count of each event: Stats reads it, and
+	// SetMetrics registers the same counters under their metric names.
 	counts counters
 
-	// met holds the metrics instruments. The zero value (all nil
-	// pointers) is fully inert, so no hot path needs an enabled check.
-	// Written once by SetMetrics at daemon construction.
-	met memMetrics
+	// invalidateRTT is the invalidation round-trip histogram; nil (inert)
+	// unless SetMetrics installed a registry. Written once at daemon
+	// construction.
+	invalidateRTT *metrics.Histogram
 
 	// done unblocks retry pauses when the daemon shuts down, so a
 	// SendFor or fetch backoff never outlives the site.
@@ -222,8 +224,7 @@ func (m *Manager) lockShard(s *memShard) {
 	if s.mu.TryLock() {
 		return
 	}
-	m.counts.shardContention.Add(1)
-	m.met.shardContention.Inc()
+	m.counts.shardContention.Inc()
 	s.mu.Lock()
 }
 
@@ -239,68 +240,46 @@ var retryPolicy = backoff.Policy{
 // counters hold the manager's statistics as atomics so hot paths can
 // bump them without widening any shard's critical section.
 type counters struct {
-	allocs          atomic.Uint64
-	localReads      atomic.Uint64
-	remoteReads     atomic.Uint64
-	localWrites     atomic.Uint64
-	remoteWrites    atomic.Uint64
-	paramsApplied   atomic.Uint64
-	framesFired     atomic.Uint64
-	migrations      atomic.Uint64
-	cacheHits       atomic.Uint64
-	invalidates     atomic.Uint64
-	invalidateAcks  atomic.Uint64
-	shardContention atomic.Uint64
-	replicaHits     atomic.Uint64
-	replicaInvals   atomic.Uint64
-	homeMigrations  atomic.Uint64
+	allocs          metrics.Counter
+	localReads      metrics.Counter
+	remoteReads     metrics.Counter
+	localWrites     metrics.Counter
+	remoteWrites    metrics.Counter
+	paramsApplied   metrics.Counter
+	framesFired     metrics.Counter
+	migrations      metrics.Counter
+	fetchRetries    metrics.Counter
+	invalidates     metrics.Counter
+	invalidateAcks  metrics.Counter
+	shardContention metrics.Counter
+	replicaHits     metrics.Counter
+	replicaInvals   metrics.Counter
+	homeMigrations  metrics.Counter
 }
 
-// memMetrics bundles the attraction memory's instruments; every field is
-// nil-safe, so the zero value disables collection.
-type memMetrics struct {
-	localReads      *metrics.Counter
-	remoteReads     *metrics.Counter
-	cacheHits       *metrics.Counter
-	localWrites     *metrics.Counter
-	remoteWrites    *metrics.Counter
-	paramsApplied   *metrics.Counter
-	framesFired     *metrics.Counter
-	migrations      *metrics.Counter
-	fetchRetries    *metrics.Counter
-	invalidates     *metrics.Counter
-	invalidateAcks  *metrics.Counter
-	invalidateRTT   *metrics.Histogram
-	shardContention *metrics.Counter
-	replicaHits     *metrics.Counter
-	replicaInvals   *metrics.Counter
-	homeMigrations  *metrics.Counter
-}
-
-// SetMetrics installs the instruments. Called once at daemon construction;
-// a nil registry leaves metrics disabled.
+// SetMetrics registers the manager's counters and installs its
+// histogram. Called once at daemon construction; a nil registry leaves
+// the counters unnamed and the histogram off.
 func (m *Manager) SetMetrics(reg *metrics.Registry) {
 	if reg == nil {
 		return
 	}
-	m.met = memMetrics{
-		localReads:      reg.Counter("mem.local_reads"),
-		remoteReads:     reg.Counter("mem.remote_reads"),
-		cacheHits:       reg.Counter("mem.cache_hits"),
-		localWrites:     reg.Counter("mem.local_writes"),
-		remoteWrites:    reg.Counter("mem.remote_writes"),
-		paramsApplied:   reg.Counter("mem.params_applied"),
-		framesFired:     reg.Counter("mem.frames_fired"),
-		migrations:      reg.Counter("mem.migrations"),
-		fetchRetries:    reg.Counter("mem.fetch_retries"),
-		invalidates:     reg.Counter("mem.invalidates"),
-		invalidateAcks:  reg.Counter("mem.invalidate_acks"),
-		invalidateRTT:   reg.Histogram("mem.invalidate_rtt", nil),
-		shardContention: reg.Counter("mem.shard.contention"),
-		replicaHits:     reg.Counter("mem.replica.hits"),
-		replicaInvals:   reg.Counter("mem.replica.invalidations"),
-		homeMigrations:  reg.Counter("mem.home.migrations"),
-	}
+	c := &m.counts
+	reg.Register("mem.local_reads", &c.localReads)
+	reg.Register("mem.remote_reads", &c.remoteReads)
+	reg.Register("mem.local_writes", &c.localWrites)
+	reg.Register("mem.remote_writes", &c.remoteWrites)
+	reg.Register("mem.params_applied", &c.paramsApplied)
+	reg.Register("mem.frames_fired", &c.framesFired)
+	reg.Register("mem.migrations", &c.migrations)
+	reg.Register("mem.fetch_retries", &c.fetchRetries)
+	reg.Register("mem.invalidates", &c.invalidates)
+	reg.Register("mem.invalidate_acks", &c.invalidateAcks)
+	reg.Register("mem.shard.contention", &c.shardContention)
+	reg.Register("mem.replica.hits", &c.replicaHits)
+	reg.Register("mem.replica.invalidations", &c.replicaInvals)
+	reg.Register("mem.home.migrations", &c.homeMigrations)
+	m.invalidateRTT = reg.Histogram("mem.invalidate_rtt", nil)
 	reg.GaugeFunc("mem.objects", func() int64 { return int64(m.ObjectCount()) })
 	reg.GaugeFunc("mem.frames_waiting", func() int64 { return int64(m.FrameCount()) })
 }
@@ -321,7 +300,6 @@ type Stats struct {
 	ParamsApplied   uint64
 	FramesFired     uint64
 	Migrations      uint64
-	CacheHits       uint64 // reads served from a local replica
 	Invalidates     uint64 // replicas dropped after a remote write
 	InvalidateAcks  uint64 // invalidation round-trips confirmed by a Barrier reply
 	ShardContention uint64 // shard-lock acquisitions that had to wait
@@ -405,7 +383,6 @@ func (m *Manager) Stats() Stats {
 		ParamsApplied:   m.counts.paramsApplied.Load(),
 		FramesFired:     m.counts.framesFired.Load(),
 		Migrations:      m.counts.migrations.Load(),
-		CacheHits:       m.counts.cacheHits.Load(),
 		Invalidates:     m.counts.invalidates.Load(),
 		InvalidateAcks:  m.counts.invalidateAcks.Load(),
 		ShardContention: m.counts.shardContention.Load(),
@@ -437,7 +414,7 @@ func (m *Manager) Alloc(prog types.ProgramID, data []byte) types.GlobalAddr {
 		Data:    append([]byte(nil), data...),
 	}
 	s.mu.Unlock()
-	m.counts.allocs.Add(1)
+	m.counts.allocs.Inc()
 	return addr
 }
 
@@ -454,8 +431,7 @@ func (m *Manager) NewFrame(thread types.ThreadID, arity int, prio types.Priority
 	if arity == 0 {
 		s.consumed[id] = true
 		s.mu.Unlock()
-		m.counts.framesFired.Add(1)
-		m.met.framesFired.Inc()
+		m.counts.framesFired.Inc()
 		m.tr.Record(trace.EvFrameCreated, id, thread, "zero arity")
 		m.tr.Record(trace.EvFrameFired, id, thread, "")
 		m.fire(f)
@@ -482,8 +458,7 @@ func (m *Manager) AdoptFrame(f *wire.Microframe) {
 	if f.Executable() {
 		s.consumed[f.ID] = true
 		s.mu.Unlock()
-		m.counts.framesFired.Add(1)
-		m.met.framesFired.Inc()
+		m.counts.framesFired.Inc()
 		m.fire(f)
 		return
 	}
@@ -522,7 +497,7 @@ func (m *Manager) SendFor(prog types.ProgramID, target wire.Target, data []byte)
 			return err
 		}
 		lastErr = err
-		m.met.fetchRetries.Inc()
+		m.counts.fetchRetries.Inc()
 		if !m.pause(m.retryDelay(attempt)) {
 			break // shutting down: the send can never succeed now
 		}
@@ -636,8 +611,7 @@ func (m *Manager) applyLocked(s *memShard, f *wire.Microframe, slot int, data []
 	if err != nil {
 		return err
 	}
-	m.counts.paramsApplied.Add(1)
-	m.met.paramsApplied.Inc()
+	m.counts.paramsApplied.Inc()
 	traced := m.tr.Enabled()
 	if !fires {
 		if traced {
@@ -647,8 +621,7 @@ func (m *Manager) applyLocked(s *memShard, f *wire.Microframe, slot int, data []
 	}
 	delete(s.frames, f.ID)
 	s.consumed[f.ID] = true
-	m.counts.framesFired.Add(1)
-	m.met.framesFired.Inc()
+	m.counts.framesFired.Inc()
 	fire := m.fire
 	s.mu.Unlock()
 	if traced {
@@ -684,17 +657,13 @@ func (m *Manager) Read(addr types.GlobalAddr) ([]byte, error) {
 		if o, ok := s.objects[addr]; ok {
 			data := append([]byte(nil), o.Data...)
 			s.mu.Unlock()
-			m.counts.localReads.Add(1)
-			m.met.localReads.Inc()
+			m.counts.localReads.Inc()
 			return data, nil
 		}
 		if rep, ok := s.readCache[addr]; ok {
 			out := append([]byte(nil), rep.data...)
 			s.mu.Unlock()
-			m.counts.cacheHits.Add(1)
-			m.met.cacheHits.Inc()
-			m.counts.replicaHits.Add(1)
-			m.met.replicaHits.Inc()
+			m.counts.replicaHits.Inc()
 			return out, nil
 		}
 		if st, inflight := s.fetching[addr]; inflight {
@@ -707,8 +676,7 @@ func (m *Manager) Read(addr types.GlobalAddr) ([]byte, error) {
 		st := &fetchState{done: make(chan struct{})}
 		s.fetching[addr] = st
 		s.mu.Unlock()
-		m.counts.remoteReads.Add(1)
-		m.met.remoteReads.Inc()
+		m.counts.remoteReads.Inc()
 
 		rep, err := m.fetchReplica(addr)
 		m.lockShard(s)
@@ -742,7 +710,7 @@ func (m *Manager) fetchReplica(addr types.GlobalAddr) (replica, error) {
 			return replica{}, err
 		}
 		lastErr = err
-		m.met.fetchRetries.Inc()
+		m.counts.fetchRetries.Inc()
 		if !m.pause(m.retryDelay(round)) {
 			break // shutting down: stop chasing the directory
 		}
@@ -810,8 +778,7 @@ func (m *Manager) Attract(addr types.GlobalAddr) ([]byte, error) {
 	// installed, a concurrent local Write may mutate its backing array.
 	data := append([]byte(nil), o.Data...)
 	s.mu.Unlock()
-	m.counts.migrations.Add(1)
-	m.met.migrations.Inc()
+	m.counts.migrations.Inc()
 	self := m.bus.Self()
 
 	// Keep the homesite directory current.
@@ -838,7 +805,7 @@ func (m *Manager) fetch(addr types.GlobalAddr) (*wire.MemObject, error) {
 			return nil, err
 		}
 		lastErr = err
-		m.met.fetchRetries.Inc()
+		m.counts.fetchRetries.Inc()
 		if !m.pause(m.retryDelay(round)) {
 			break // shutting down: stop chasing the directory
 		}
@@ -973,13 +940,12 @@ func (m *Manager) sendInvalidates(inv *invalidation) {
 			}
 			if _, ok := reply.Payload.(*wire.Barrier); ok {
 				acked.Add(1)
-				m.met.invalidateRTT.Observe(time.Since(start))
+				m.invalidateRTT.Observe(time.Since(start))
 			}
 		}()
 	}
 	wg.Wait()
 	m.counts.invalidateAcks.Add(acked.Load())
-	m.met.invalidateAcks.Add(acked.Load())
 }
 
 // routeObjectLocked picks the first site to ask about addr. Caller holds
@@ -1092,10 +1058,8 @@ func (m *Manager) migrateHome(addr types.GlobalAddr, dst types.SiteID) {
 	delete(s.heat, addr)
 	s.mu.Unlock()
 
-	m.counts.migrations.Add(1)
-	m.met.migrations.Inc()
-	m.counts.homeMigrations.Add(1)
-	m.met.homeMigrations.Inc()
+	m.counts.migrations.Inc()
+	m.counts.homeMigrations.Inc()
 	// Invalidate before the object lands at dst: a replica holder must
 	// never observe the new owner's writes while still caching ours.
 	m.sendInvalidates(inv)
@@ -1118,7 +1082,7 @@ func (m *Manager) Write(addr types.GlobalAddr, offset int, data []byte) error {
 			return err
 		}
 		lastErr = err
-		m.met.fetchRetries.Inc()
+		m.counts.fetchRetries.Inc()
 		if !m.pause(m.retryDelay(round)) {
 			break // shutting down: stop chasing the directory
 		}
@@ -1143,8 +1107,7 @@ func (m *Manager) writeOnce(addr types.GlobalAddr, offset int, data []byte) (don
 		// object is pushed away.
 		m.noteWriteLocked(s, addr, m.bus.Self())
 		s.mu.Unlock()
-		m.counts.localWrites.Add(1)
-		m.met.localWrites.Inc()
+		m.counts.localWrites.Inc()
 		m.sendInvalidates(inv)
 		return true, nil
 	}
@@ -1152,8 +1115,7 @@ func (m *Manager) writeOnce(addr types.GlobalAddr, offset int, data []byte) (don
 	s.purgeReplicaLocked(addr)
 	dst := m.routeObjectLocked(s, addr)
 	s.mu.Unlock()
-	m.counts.remoteWrites.Add(1)
-	m.met.remoteWrites.Inc()
+	m.counts.remoteWrites.Inc()
 	if dst == types.InvalidSite {
 		return false, &types.AddrError{Err: types.ErrNoSuchObject, Addr: addr}
 	}
@@ -1190,7 +1152,7 @@ const maxObjectSize = 16 << 20
 // allocations unchecked.
 func writeAt(o *wire.MemObject, offset int, data []byte) bool {
 	need := offset + len(data)
-	if offset < 0 || need > maxObjectSize {
+	if offset < 0 || offset > maxObjectSize || need > maxObjectSize {
 		return false
 	}
 	if need > len(o.Data) {
@@ -1459,10 +1421,8 @@ func (m *Manager) dropReplicas(addr types.GlobalAddr) {
 	had := s.purgeReplicaLocked(addr)
 	s.mu.Unlock()
 	if had {
-		m.counts.invalidates.Add(1)
-		m.met.invalidates.Inc()
-		m.counts.replicaInvals.Add(1)
-		m.met.replicaInvals.Inc()
+		m.counts.invalidates.Inc()
+		m.counts.replicaInvals.Inc()
 	}
 }
 
@@ -1508,7 +1468,6 @@ func (m *Manager) DropSiteReplicas(site types.SiteID) {
 	}
 	if dropped > 0 {
 		m.counts.replicaInvals.Add(dropped)
-		m.met.replicaInvals.Add(dropped)
 	}
 }
 
@@ -1532,8 +1491,7 @@ func (m *Manager) handleMemReadReplica(msg *wire.Message, p *wire.MemReadReplica
 		reply := &wire.MemReplicaData{Found: true, Version: o.Version,
 			Data: append([]byte(nil), o.Data...)}
 		s.mu.Unlock()
-		m.counts.localReads.Add(1)
-		m.met.localReads.Inc()
+		m.counts.localReads.Inc()
 		_ = m.bus.Reply(msg, types.MgrMemory, reply)
 		return
 	}
@@ -1652,8 +1610,7 @@ func (m *Manager) handleMemRead(msg *wire.Message, p *wire.MemRead) {
 			inv.add(p.Addr, m.takeCopysetLocked(s, inv, p.Addr, msg.Src))
 			delete(s.heat, p.Addr)
 			s.mu.Unlock()
-			m.counts.migrations.Add(1)
-			m.met.migrations.Inc()
+			m.counts.migrations.Inc()
 		} else {
 			if msg.Src.Valid() && msg.Src != m.bus.Self() {
 				cs, ok := s.copies[p.Addr]
@@ -1664,7 +1621,7 @@ func (m *Manager) handleMemRead(msg *wire.Message, p *wire.MemRead) {
 				cs[msg.Src] = true
 			}
 			s.mu.Unlock()
-			m.counts.localReads.Add(1)
+			m.counts.localReads.Inc()
 		}
 		m.sendInvalidates(inv)
 		_ = m.bus.Reply(msg, types.MgrMemory, reply)
@@ -1697,8 +1654,7 @@ func (m *Manager) handleMemWrite(msg *wire.Message, p *wire.MemWrite) {
 		inv.add(p.Addr, m.takeCopysetLocked(s, inv, p.Addr, types.InvalidSite))
 		migrateTo := m.noteWriteLocked(s, p.Addr, msg.Src)
 		s.mu.Unlock()
-		m.counts.localWrites.Add(1)
-		m.met.localWrites.Inc()
+		m.counts.localWrites.Inc()
 		if inv.empty() && migrateTo == types.InvalidSite {
 			putInvalidation(inv)
 			_ = m.bus.Reply(msg, types.MgrMemory, &wire.MemWriteAck{OK: true})
@@ -1744,7 +1700,6 @@ func (m *Manager) handleMigrate(p *wire.MemMigrate) {
 		s.mu.Unlock()
 	}
 	m.counts.migrations.Add(uint64(len(p.Objects)))
-	m.met.migrations.Add(uint64(len(p.Objects)))
 
 	for _, u := range updates {
 		if !u.Addr.Home.Valid() {

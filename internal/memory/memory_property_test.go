@@ -167,8 +167,8 @@ func TestSingleFlightFetch(t *testing.T) {
 	if s.RemoteReads != 1 {
 		t.Fatalf("RemoteReads = %d, want 1 (single flight)", s.RemoteReads)
 	}
-	if s.CacheHits != 7 {
-		t.Fatalf("CacheHits = %d, want 7", s.CacheHits)
+	if s.ReplicaHits != 7 {
+		t.Fatalf("ReplicaHits = %d, want 7", s.ReplicaHits)
 	}
 	testnet.WaitFor(t, "noop", func() bool { return true })
 }

@@ -475,7 +475,7 @@ func TestReadReplicationCachesAndInvalidates(t *testing.T) {
 		t.Fatal(err)
 	}
 	after := reader.Stats()
-	if after.CacheHits != before.CacheHits+1 {
+	if after.ReplicaHits != before.ReplicaHits+1 {
 		t.Fatalf("second read missed the replica: %+v -> %+v", before, after)
 	}
 	if after.RemoteReads != before.RemoteReads {

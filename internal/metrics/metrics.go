@@ -1,12 +1,17 @@
-// Package metrics is a small, stdlib-only registry of counters, gauges and
-// fixed-bucket histograms. One Registry lives on each daemon; managers hold
-// direct pointers to their instruments so the hot paths are a single atomic
-// op with no map lookup and no lock.
+// Package metrics is a small, stdlib-only registry of counters, callback
+// gauges and fixed-bucket histograms. One Registry lives on each daemon.
 //
-// Everything is nil-safe: a nil *Registry hands out nil instruments, and all
-// instrument methods are no-ops on a nil receiver. A daemon built without
-// metrics therefore pays only a pointer-nil branch per event, mirroring the
-// trace.Tracer convention.
+// A manager counts each event once, in a Counter it owns: the zero Counter
+// is one atomic and needs no registry, so the manager's own Stats accessors
+// read it whether metrics are on or off. SetMetrics then exposes that same
+// Counter under a name (Register); the registry never keeps a second copy.
+//
+// What only the registry measures — latency and batch histograms, and the
+// dynamic per-kind, per-peer and per-link counters — it hands out itself.
+// A nil *Registry hands out nil instruments, and all instrument methods are
+// no-ops on a nil receiver, so a daemon built without metrics pays one
+// pointer-nil branch per histogram observation, mirroring the trace.Tracer
+// convention.
 //
 // Snapshots copy the current values under the registry lock so readers never
 // observe a torn histogram, and the wire/HTTP exposition layers work from the
@@ -20,7 +25,8 @@ import (
 	"time"
 )
 
-// Counter is a monotonically increasing event count.
+// Counter is a monotonically increasing event count. The zero value is
+// ready to use, so a manager embeds its counters by value.
 type Counter struct {
 	v atomic.Uint64
 }
@@ -47,35 +53,6 @@ func (c *Counter) Load() uint64 {
 		return 0
 	}
 	return c.v.Load()
-}
-
-// Gauge is an instantaneous value that can move in both directions.
-type Gauge struct {
-	v atomic.Int64
-}
-
-// Set replaces the value.
-func (g *Gauge) Set(v int64) {
-	if g == nil {
-		return
-	}
-	g.v.Store(v)
-}
-
-// Add moves the value by d (negative to decrease).
-func (g *Gauge) Add(d int64) {
-	if g == nil {
-		return
-	}
-	g.v.Add(d)
-}
-
-// Load returns the current value (0 on a nil gauge).
-func (g *Gauge) Load() int64 {
-	if g == nil {
-		return 0
-	}
-	return g.v.Load()
 }
 
 // Histogram counts duration observations into fixed buckets. Bounds are
@@ -137,15 +114,13 @@ type Sample struct {
 	Value int64
 }
 
-// Registry owns the instruments of one daemon. The zero value is not usable;
+// Registry names the instruments of one daemon. The zero value is not usable;
 // call NewRegistry. A nil *Registry is valid everywhere and disables
 // collection.
 type Registry struct {
 	mu sync.Mutex
 	// counters maps name to instrument. guarded by mu
 	counters map[string]*Counter
-	// gauges maps name to instrument. guarded by mu
-	gauges map[string]*Gauge
 	// hists maps name to instrument. guarded by mu
 	hists map[string]*Histogram
 	// gaugeFns holds callback gauges, read at snapshot time. guarded by mu
@@ -156,7 +131,6 @@ type Registry struct {
 func NewRegistry() *Registry {
 	return &Registry{
 		counters: make(map[string]*Counter),
-		gauges:   make(map[string]*Gauge),
 		hists:    make(map[string]*Histogram),
 		gaugeFns: make(map[string]func() int64),
 	}
@@ -178,20 +152,15 @@ func (r *Registry) Counter(name string) *Counter {
 	return c
 }
 
-// Gauge returns the named gauge, creating it on first use. Returns nil on a
-// nil registry.
-func (r *Registry) Gauge(name string) *Gauge {
-	if r == nil {
-		return nil
+// Register exposes a counter its manager owns under name, so snapshots
+// read the manager's own count instead of a twin. No-op on a nil registry.
+func (r *Registry) Register(name string, c *Counter) {
+	if r == nil || c == nil {
+		return
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	g, ok := r.gauges[name]
-	if !ok {
-		g = &Gauge{}
-		r.gauges[name] = g
-	}
-	return g
+	r.counters[name] = c
 }
 
 // Histogram returns the named histogram, creating it with the given bucket
@@ -235,12 +204,9 @@ func (r *Registry) Snapshot() []Sample {
 		return nil
 	}
 	r.mu.Lock()
-	out := make([]Sample, 0, len(r.counters)+len(r.gauges)+len(r.gaugeFns)+8*len(r.hists))
+	out := make([]Sample, 0, len(r.counters)+len(r.gaugeFns)+8*len(r.hists))
 	for name, c := range r.counters {
 		out = append(out, Sample{Name: name, Value: int64(c.Load())})
-	}
-	for name, g := range r.gauges {
-		out = append(out, Sample{Name: name, Value: g.Load()})
 	}
 	type fn struct {
 		name string

@@ -11,18 +11,16 @@ import (
 func TestNilRegistryIsInert(t *testing.T) {
 	var r *Registry
 	c := r.Counter("a")
-	g := r.Gauge("b")
 	h := r.Histogram("c", nil)
-	if c != nil || g != nil || h != nil {
+	if c != nil || h != nil {
 		t.Fatal("nil registry should hand out nil instruments")
 	}
 	c.Inc()
 	c.Add(5)
-	g.Set(1)
-	g.Add(-1)
 	h.Observe(time.Second)
 	r.GaugeFunc("d", func() int64 { return 1 })
-	if c.Load() != 0 || g.Load() != 0 || h.Count() != 0 || h.Sum() != 0 {
+	r.Register("e", &Counter{})
+	if c.Load() != 0 || h.Count() != 0 || h.Sum() != 0 {
 		t.Fatal("nil instruments should read zero")
 	}
 	if r.Snapshot() != nil {
@@ -41,11 +39,33 @@ func TestCounterGaugeBasics(t *testing.T) {
 	if r.Counter("msgs") != c {
 		t.Fatal("same name should return same counter")
 	}
-	g := r.Gauge("depth")
-	g.Set(10)
-	g.Add(-3)
-	if got := g.Load(); got != 7 {
-		t.Fatalf("gauge = %d, want 7", got)
+	depth := int64(10)
+	r.GaugeFunc("depth", func() int64 { return depth })
+	depth -= 3
+	flat := make(map[string]int64)
+	Merge(flat, r.Snapshot())
+	if flat["depth"] != 7 {
+		t.Fatalf("gauge = %d, want 7", flat["depth"])
+	}
+}
+
+// TestRegisterReadsTheOwnedCounter pins the one-counter-per-event rule: a
+// registered counter is the manager's own, not a copy, so counts made
+// before and after Register both show in the snapshot, and Counter(name)
+// hands out that same instrument.
+func TestRegisterReadsTheOwnedCounter(t *testing.T) {
+	var owned Counter
+	owned.Inc()
+	r := NewRegistry()
+	r.Register("mgr.events", &owned)
+	owned.Add(2)
+	if r.Counter("mgr.events") != &owned {
+		t.Fatal("Counter(name) should return the registered counter")
+	}
+	flat := make(map[string]int64)
+	Merge(flat, r.Snapshot())
+	if flat["mgr.events"] != 3 {
+		t.Fatalf("mgr.events = %d, want 3", flat["mgr.events"])
 	}
 }
 
@@ -100,11 +120,11 @@ func TestMergeSumsAcrossSites(t *testing.T) {
 	b := NewRegistry()
 	a.Counter("exec.executed").Add(3)
 	b.Counter("exec.executed").Add(4)
-	b.Counter("mem.cache_hits").Add(1)
+	b.Counter("mem.replica.hits").Add(1)
 	flat := make(map[string]int64)
 	Merge(flat, a.Snapshot())
 	Merge(flat, b.Snapshot())
-	if flat["exec.executed"] != 7 || flat["mem.cache_hits"] != 1 {
+	if flat["exec.executed"] != 7 || flat["mem.replica.hits"] != 1 {
 		t.Fatalf("merge wrong: %v", flat)
 	}
 }
@@ -124,7 +144,7 @@ func TestConcurrentUse(t *testing.T) {
 			h := r.Histogram("lat", nil)
 			for i := 0; i < iters; i++ {
 				c.Inc()
-				r.Gauge("g").Add(1)
+				r.Counter("g").Add(1)
 				h.Observe(time.Duration(i) * time.Microsecond)
 				if i%100 == 0 {
 					r.Snapshot()

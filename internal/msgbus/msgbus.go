@@ -87,41 +87,40 @@ type Bus struct {
 	done  chan struct{}
 	wg    sync.WaitGroup
 
-	// Counters for the site manager's statistics.
-	sent     atomic.Uint64
-	received atomic.Uint64
-	dropped  atomic.Uint64
+	// The one count of each event: Stats reads sent, received and
+	// dropped, and SetMetrics registers all five under their metric names.
+	sent      metrics.Counter
+	received  metrics.Counter
+	dropped   metrics.Counter
+	sentBytes metrics.Counter
+	recvBytes metrics.Counter
 
-	// met holds the metrics instruments; nil when metrics are disabled.
+	// met holds the per-kind counters; nil when metrics are disabled.
 	// Written once by SetMetrics before Start, read-only afterwards.
 	met *busMetrics
 }
 
-// busMetrics bundles the bus's instruments so the hot paths test a single
-// pointer. Per-kind counters are preallocated into kind-indexed tables,
-// keeping the per-message cost to one atomic add without a map lookup.
+// busMetrics holds the registry-only per-kind counters, preallocated into
+// kind-indexed tables so the per-message cost is one atomic add without a
+// map lookup.
 type busMetrics struct {
-	sentMsgs  *metrics.Counter
-	recvMsgs  *metrics.Counter
-	sentBytes *metrics.Counter
-	recvBytes *metrics.Counter
-	dropped   *metrics.Counter
 	outByKind []*metrics.Counter // indexed by wire.Kind
 	inByKind  []*metrics.Counter // indexed by wire.Kind
 }
 
-// SetMetrics installs the instruments. Must be called before Start (like
-// Register); a nil registry leaves metrics disabled.
+// SetMetrics registers the bus's counters and installs the per-kind
+// tables. Must be called before Start (like Register); a nil registry
+// leaves the counters unnamed and the tables off.
 func (b *Bus) SetMetrics(reg *metrics.Registry) {
 	if reg == nil {
 		return
 	}
+	reg.Register("bus.sent_msgs", &b.sent)
+	reg.Register("bus.recv_msgs", &b.received)
+	reg.Register("bus.sent_bytes", &b.sentBytes)
+	reg.Register("bus.recv_bytes", &b.recvBytes)
+	reg.Register("bus.dropped", &b.dropped)
 	bm := &busMetrics{
-		sentMsgs:  reg.Counter("bus.sent_msgs"),
-		recvMsgs:  reg.Counter("bus.recv_msgs"),
-		sentBytes: reg.Counter("bus.sent_bytes"),
-		recvBytes: reg.Counter("bus.recv_bytes"),
-		dropped:   reg.Counter("bus.dropped"),
 		outByKind: make([]*metrics.Counter, wire.NumKinds()),
 		inByKind:  make([]*metrics.Counter, wire.NumKinds()),
 	}
@@ -134,33 +133,20 @@ func (b *Bus) SetMetrics(reg *metrics.Registry) {
 }
 
 // countOut records one outgoing serialized message of n bytes.
-func (bm *busMetrics) countOut(k wire.Kind, n int) {
-	if bm == nil {
-		return
-	}
-	bm.sentMsgs.Inc()
-	bm.sentBytes.Add(uint64(n))
-	if int(k) < len(bm.outByKind) {
+func (b *Bus) countOut(k wire.Kind, n int) {
+	b.sent.Inc()
+	b.sentBytes.Add(uint64(n))
+	if bm := b.met; bm != nil && int(k) < len(bm.outByKind) {
 		bm.outByKind[k].Inc()
 	}
 }
 
 // countIn records one incoming (or loopback) message.
-func (bm *busMetrics) countIn(k wire.Kind) {
-	if bm == nil {
-		return
-	}
-	bm.recvMsgs.Inc()
-	if int(k) < len(bm.inByKind) {
+func (b *Bus) countIn(k wire.Kind) {
+	b.received.Inc()
+	if bm := b.met; bm != nil && int(k) < len(bm.inByKind) {
 		bm.inByKind[k].Inc()
 	}
-}
-
-func (bm *busMetrics) countDropped() {
-	if bm == nil {
-		return
-	}
-	bm.dropped.Inc()
 }
 
 // New returns a bus. SetSelf must be called once the site's logical id is
@@ -385,10 +371,9 @@ func (b *Bus) RequestAddr(physAddr string, dstMgr, srcMgr types.ManagerID, p wir
 		b.mu.Unlock()
 	}
 
-	b.sent.Add(1)
 	w := wire.GetWriter(0)
 	m.Encode(w)
-	b.met.countOut(m.Payload.Kind(), w.Len())
+	b.countOut(m.Payload.Kind(), w.Len())
 	err := b.sender.Send(physAddr, w.Bytes())
 	w.Release()
 	if err != nil {
@@ -459,10 +444,9 @@ func (b *Bus) sendRemote(m *wire.Message) error {
 	if err != nil {
 		return err
 	}
-	b.sent.Add(1)
 	w := wire.GetWriter(0)
 	m.Encode(w)
-	b.met.countOut(m.Payload.Kind(), w.Len())
+	b.countOut(m.Payload.Kind(), w.Len())
 	err = b.sender.Send(addr, w.Bytes())
 	w.Release()
 	return err
@@ -475,21 +459,17 @@ func (b *Bus) sendRemote(m *wire.Message) error {
 //
 //sdvm:borrowed datagram
 func (b *Bus) OnDatagram(datagram []byte) {
-	if bm := b.met; bm != nil {
-		bm.recvBytes.Add(uint64(len(datagram)))
-	}
+	b.recvBytes.Add(uint64(len(datagram)))
 	m, err := wire.DecodeBytes(datagram)
 	if err != nil {
-		b.dropped.Add(1)
-		b.met.countDropped()
+		b.dropped.Inc()
 		return
 	}
 	b.enqueue(m)
 }
 
 func (b *Bus) enqueue(m *wire.Message) {
-	b.received.Add(1)
-	b.met.countIn(m.Payload.Kind())
+	b.countIn(m.Payload.Kind())
 
 	// Replies complete waiting requests directly, bypassing the
 	// dispatcher so a blocked handler can never deadlock a reply.
@@ -541,16 +521,14 @@ func (b *Bus) dispatchLoop() {
 
 func (b *Bus) dispatch(m *wire.Message) {
 	if !m.DstMgr.Valid() {
-		b.dropped.Add(1)
-		b.met.countDropped()
+		b.dropped.Inc()
 		return
 	}
 	b.handlersMu.RLock()
 	h := b.handlers[m.DstMgr]
 	b.handlersMu.RUnlock()
 	if h == nil {
-		b.dropped.Add(1)
-		b.met.countDropped()
+		b.dropped.Inc()
 		return
 	}
 	h.HandleMessage(m)

@@ -118,7 +118,6 @@ type Manager struct {
 	mu         sync.Mutex
 	executable queue[*wire.Microframe] // awaiting code resolution
 	ready      queue[*Ready]           // awaiting the processing manager
-	stats      Stats
 	closed     bool
 	begging    bool // one help round in flight per site
 
@@ -170,22 +169,30 @@ type Manager struct {
 	unknownProg func(prog types.ProgramID, hint types.SiteID)
 	knownProg   func(prog types.ProgramID) bool
 
-	// met holds the metrics instruments; nil when metrics are disabled.
-	// Written once by SetMetrics before Start, read-only afterwards.
+	// counts is the one count of each event: Stats reads it, and
+	// SetMetrics registers the same counters under their metric names.
+	counts counters
+
+	// met holds the histograms; nil when metrics are disabled. Written
+	// once by SetMetrics before Start, read-only afterwards.
 	met *schedMetrics
 }
 
-// schedMetrics bundles the scheduler's instruments.
+// counters are atomics, so no event widens m.mu's critical section.
+type counters struct {
+	enqueued    metrics.Counter
+	dispatched  metrics.Counter
+	helpAsked   metrics.Counter
+	helpGranted metrics.Counter
+	helpDenied  metrics.Counter
+	helpServed  metrics.Counter
+	helpRefused metrics.Counter
+	surrendered metrics.Counter
+	resolveErrs metrics.Counter
+}
+
+// schedMetrics bundles the scheduler's histograms.
 type schedMetrics struct {
-	enqueued        *metrics.Counter
-	dispatched      *metrics.Counter
-	helpAsked       *metrics.Counter
-	helpGranted     *metrics.Counter
-	helpDenied      *metrics.Counter
-	helpServed      *metrics.Counter
-	helpRefused     *metrics.Counter
-	surrendered     *metrics.Counter
-	resolveErrs     *metrics.Counter
 	dispatchLatency *metrics.Histogram
 	grantBatch      *metrics.Histogram
 }
@@ -195,22 +202,24 @@ type schedMetrics struct {
 // because the metrics package has a single histogram type.
 var grantBatchBounds = []time.Duration{1, 2, 4, 8, 16}
 
-// SetMetrics installs the instruments and queue-depth gauges. Must be
-// called before Start; a nil registry leaves metrics disabled.
+// SetMetrics registers the manager's counters and installs its
+// histograms and queue-depth gauges. Must be called before Start; a nil
+// registry leaves the counters unnamed and the histograms off.
 func (m *Manager) SetMetrics(reg *metrics.Registry) {
 	if reg == nil {
 		return
 	}
+	c := &m.counts
+	reg.Register("sched.enqueued", &c.enqueued)
+	reg.Register("sched.dispatched", &c.dispatched)
+	reg.Register("sched.help_asked", &c.helpAsked)
+	reg.Register("sched.help_granted", &c.helpGranted)
+	reg.Register("sched.help_denied", &c.helpDenied)
+	reg.Register("sched.help_served", &c.helpServed)
+	reg.Register("sched.help_refused", &c.helpRefused)
+	reg.Register("sched.frames_surrendered", &c.surrendered)
+	reg.Register("sched.resolve_errs", &c.resolveErrs)
 	m.met = &schedMetrics{
-		enqueued:        reg.Counter("sched.enqueued"),
-		dispatched:      reg.Counter("sched.dispatched"),
-		helpAsked:       reg.Counter("sched.help_asked"),
-		helpGranted:     reg.Counter("sched.help_granted"),
-		helpDenied:      reg.Counter("sched.help_denied"),
-		helpServed:      reg.Counter("sched.help_served"),
-		helpRefused:     reg.Counter("sched.help_refused"),
-		surrendered:     reg.Counter("sched.frames_surrendered"),
-		resolveErrs:     reg.Counter("sched.resolve_errs"),
 		dispatchLatency: reg.Histogram("sched.dispatch_latency", nil),
 		grantBatch:      reg.Histogram("sched.grant.batch", grantBatchBounds),
 	}
@@ -235,12 +244,9 @@ func (m *Manager) dispatchLocked() *Ready {
 	if !ok {
 		return nil
 	}
-	m.stats.Dispatched++
-	if m.met != nil {
-		m.met.dispatched.Inc()
-		if !at.IsZero() {
-			m.met.dispatchLatency.Observe(time.Since(at))
-		}
+	m.counts.dispatched.Inc()
+	if m.met != nil && !at.IsZero() {
+		m.met.dispatchLatency.Observe(time.Since(at))
 	}
 	return r
 }
@@ -311,11 +317,18 @@ func (m *Manager) SetFallback(dst types.SiteID) {
 
 // Stats returns a snapshot of the counters.
 func (m *Manager) Stats() Stats {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	s := m.stats
-	s.FramesInFlight = int32(m.queuedLocked())
-	return s
+	c := &m.counts
+	return Stats{
+		Enqueued:       c.enqueued.Load(),
+		Dispatched:     c.dispatched.Load(),
+		HelpAsked:      c.helpAsked.Load(),
+		HelpGranted:    c.helpGranted.Load(),
+		HelpDenied:     c.helpDenied.Load(),
+		HelpServed:     c.helpServed.Load(),
+		HelpRefused:    c.helpRefused.Load(),
+		ResolveErrs:    c.resolveErrs.Load(),
+		FramesInFlight: int32(m.QueueLen()),
+	}
 }
 
 // QueueLen returns executable+ready counts for the gossiped statistics.
@@ -399,11 +412,10 @@ func (m *Manager) enqueue(f *wire.Microframe, allowScatter bool) {
 	}
 	var now time.Time // stays zero, and unobserved, with metrics off
 	if m.met != nil {
-		m.met.enqueued.Inc()
 		now = time.Now()
 	}
 	m.executable.push(f, f.Prio, now)
-	m.stats.Enqueued++
+	m.counts.enqueued.Inc()
 	push := m.feedParkedLocked()
 	m.mu.Unlock()
 	m.tr.Record(trace.EvEnqueued, f.ID, f.Thread, "")
@@ -427,12 +439,7 @@ func (m *Manager) pushGranted(dst types.SiteID, f *wire.Microframe, why string) 
 	if m.tr.Enabled() {
 		m.tr.Record(trace.EvGranted, f.ID, f.Thread, why+" to "+dst.String())
 	}
-	m.mu.Lock()
-	m.stats.HelpServed++
-	m.mu.Unlock()
-	if m.met != nil {
-		m.met.helpServed.Inc()
-	}
+	m.counts.helpServed.Inc()
 	err := m.bus.Send(dst, types.MgrScheduling, types.MgrScheduling, &wire.FramePush{Frame: f})
 	if err == nil {
 		return
@@ -531,12 +538,7 @@ func (m *Manager) resolveLoop() {
 
 		fn, err := m.resolver.Resolve(f.Thread)
 		if err != nil {
-			m.mu.Lock()
-			m.stats.ResolveErrs++
-			m.mu.Unlock()
-			if m.met != nil {
-				m.met.resolveErrs.Inc()
-			}
+			m.counts.resolveErrs.Inc()
 			continue
 		}
 		m.mu.Lock()
@@ -675,11 +677,8 @@ func (m *Manager) askForHelp() bool {
 			m.mu.Unlock()
 			return true
 		}
-		m.stats.HelpAsked++
 		m.mu.Unlock()
-		if m.met != nil {
-			m.met.helpAsked.Inc()
-		}
+		m.counts.helpAsked.Inc()
 
 		reply, err := m.bus.Request(target, types.MgrScheduling, types.MgrScheduling,
 			&wire.HelpRequest{Requester: self.ID, Load: self.Load, Speed: self.Speed}, 250*time.Millisecond)
@@ -688,21 +687,11 @@ func (m *Manager) askForHelp() bool {
 		}
 		hr, ok := reply.Payload.(*wire.HelpReply)
 		if !ok || hr.CantHelp || len(hr.Frames) == 0 {
-			m.mu.Lock()
-			m.stats.HelpDenied++
-			m.mu.Unlock()
-			if m.met != nil {
-				m.met.helpDenied.Inc()
-			}
+			m.counts.helpDenied.Inc()
 			continue
 		}
 
-		m.mu.Lock()
-		m.stats.HelpGranted += uint64(len(hr.Frames))
-		m.mu.Unlock()
-		if m.met != nil {
-			m.met.helpGranted.Add(uint64(len(hr.Frames)))
-		}
+		m.counts.helpGranted.Add(uint64(len(hr.Frames)))
 		for _, f := range hr.Frames {
 			if f != nil {
 				m.acceptForeignFrame(f, reply.Src)
@@ -804,11 +793,8 @@ func (m *Manager) surrenderFrame() *wire.Microframe {
 	if f == nil {
 		return nil
 	}
-	m.stats.HelpServed++
-	if m.met != nil {
-		m.met.helpServed.Inc()
-		m.met.surrendered.Inc()
-	}
+	m.counts.helpServed.Inc()
+	m.counts.surrendered.Inc()
 	return f
 }
 
@@ -924,10 +910,7 @@ func (m *Manager) HandleMessage(msg *wire.Message) {
 			}
 		} else {
 			m.mu.Lock()
-			m.stats.HelpRefused++
-			if m.met != nil {
-				m.met.helpRefused.Inc()
-			}
+			m.counts.helpRefused.Inc()
 			// Remember the hungry site: the next surplus frame goes to
 			// it without waiting for its next poll.
 			if p.Requester.Valid() && p.Requester != m.bus.Self() {

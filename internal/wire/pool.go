@@ -69,6 +69,7 @@ func putBuf(pb *pbuf) {
 		return
 	}
 	pb.b = pb.b[:0]
+	//sdvmlint:allow wiretaint -- cls is set by init and getBuf, never decoded from a peer
 	bufPools[pb.cls].Put(pb)
 }
 

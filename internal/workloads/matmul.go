@@ -17,6 +17,10 @@ import (
 // processing manager's window exists for — block reads stall, siblings
 // run.
 
+// maxMatrixDim bounds the start parameters n and grid. They arrive as
+// wire data and size an n×n allocation and grid×grid block tasks.
+const maxMatrixDim = 2048
+
 // Thread indices of the matmul application.
 const (
 	MMStart uint32 = iota
@@ -114,9 +118,9 @@ func mmStart(ctx mthread.Context) error {
 	n := int(mthread.ParseU64(ctx.Param(0)))
 	grid := int(mthread.ParseU64(ctx.Param(1)))
 	costB := ctx.Param(2)
-	if n <= 0 || grid <= 0 {
+	if n <= 0 || grid <= 0 || n > maxMatrixDim || grid > maxMatrixDim {
 		ctx.Exit(nil)
-		return fmt.Errorf("mm: n and grid must be positive")
+		return fmt.Errorf("mm: n and grid must be in 1..%d", maxMatrixDim)
 	}
 
 	// Operand matrices become global memory objects; block tasks on any

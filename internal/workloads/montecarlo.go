@@ -84,9 +84,9 @@ func piStart(ctx mthread.Context) error {
 	samples := mthread.ParseU64(ctx.Param(1))
 	costB := ctx.Param(2)
 	seed := mthread.ParseU64(ctx.Param(3))
-	if chunks <= 0 {
+	if chunks <= 0 || chunks > maxFanout {
 		ctx.Exit(nil)
-		return fmt.Errorf("pi: chunks must be positive")
+		return fmt.Errorf("pi: chunks must be in 1..%d", maxFanout)
 	}
 
 	reduce := ctx.NewFrame(PiReduce, chunks)

@@ -63,9 +63,9 @@ func pipeStart(ctx mthread.Context) error {
 	items := int(mthread.ParseU64(ctx.Param(0)))
 	stages := int(mthread.ParseU64(ctx.Param(1)))
 	costB := ctx.Param(2)
-	if items <= 0 || stages <= 0 {
+	if items <= 0 || stages <= 0 || items > maxFanout || stages > maxFanout {
 		ctx.Exit(nil)
-		return fmt.Errorf("pipe: items and stages must be positive")
+		return fmt.Errorf("pipe: items and stages must be in 1..%d", maxFanout)
 	}
 
 	reduce := ctx.NewFrame(PipeReduce, items)

@@ -23,6 +23,11 @@ import (
 	"repro/internal/wire"
 )
 
+// maxFanout bounds a start parameter that sets how many frames a program
+// spawns. Parameters arrive as wire data, so one is checked before it
+// bounds a loop.
+const maxFanout = 1 << 16
+
 // Thread indices of the primes application.
 const (
 	PrimesStart uint32 = iota
