@@ -393,7 +393,7 @@ func probesEveryPeer(peers int) bool { return peers <= ringProbes }
 // tombstone there. A ring-probing site only accuses: a falsely accused
 // site refutes it epidemically (probes fail routinely during join
 // waves, when the target cannot yet route its Pong back to a brand-new
-// prober); a dead one ages to a tombstone after DeadAfter gossip rounds
+// prober); a dead one ages to a tombstone after deadAfter gossip rounds
 // and is removed then.
 func (m *Manager) declareCrash(dead types.SiteID) {
 	m.mu.Lock()

@@ -354,7 +354,7 @@ func waitFullRosters(t *testing.T, ds []*daemon.Daemon) {
 
 // In a cluster small enough that every site probes every peer, a
 // heartbeat verdict removes a killed site from every roster within
-// MissLimit probe periods — not after the gossip layer's DeadAfter
+// MissLimit probe periods — not after the gossip layer's deadAfter
 // rounds (6 s at the default 100 ms tick), which is all an accusation
 // would buy.
 func TestKilledSiteLeavesRostersByHeartbeat(t *testing.T) {

@@ -3,7 +3,7 @@
 // information is then propagated to the other sites of the cluster"
 // (paper §3.4). Every site runs it. Instead of broadcasting to the
 // whole roster (O(N) messages per site per tick), each site pushes a
-// bounded digest of its membership view to Fanout random peers per
+// bounded digest of its membership view to fanout random peers per
 // tick. Rumors — joins, sign-offs, crashes, load changes — reach every
 // site in O(log N) rounds, and no dissemination path ever iterates the
 // full roster. The sign-on contact pushes a newcomer's row the moment
@@ -12,7 +12,7 @@
 // Liveness follows SWIM: a site that falls silent turns suspect, then
 // dead; a suspected site that sees its own obituary refutes it by
 // bumping its incarnation number, which only the subject itself may
-// do. Tombstones (dead or left) ride digests for TombstoneTTL rounds
+// do. Tombstones (dead or left) ride digests for tombstoneTTL rounds
 // and are retained forever locally so stale alive copies can never
 // resurrect a departed site.
 package gossip
@@ -45,7 +45,7 @@ type Manager struct {
 // Start must be called once the local site id is known (after
 // Bootstrap or Join).
 func New(bus *msgbus.Bus, cm *cluster.Manager, cfg Config) *Manager {
-	m := &Manager{bus: bus, cm: cm, cfg: cfg.withDefaults()}
+	m := &Manager{bus: bus, cm: cm, cfg: cfg}
 	bus.Register(types.MgrGossip, m)
 	cm.OnJoin(m.AddSite)
 	cm.OnLeave(m.MarkGone)
@@ -69,7 +69,7 @@ func (m *Manager) Start() {
 // AddSite installs (or completes) a peer row and marks it hot. New
 // wires it to the roster's OnJoin hook: when this site is the sign-on contact it may
 // be the only site that knows the newcomer exists, so a row the table
-// never held is pushed to Fanout peers at once — without advancing the
+// never held is pushed to fanout peers at once — without advancing the
 // round — instead of waiting for the next statistics tick. Merges that
 // originated from gossip itself find their row already held and loop
 // back harmlessly, at worst refreshing a ride budget.
@@ -112,7 +112,7 @@ func (m *Manager) Accuse(id types.SiteID) {
 }
 
 // Tick runs one protocol round: refresh the local load vector, age the
-// current window, and push this round's digest to Fanout random peers.
+// current window, and push this round's digest to fanout random peers.
 // Called from the site manager's stats ticker, so gossip needs no
 // goroutine of its own.
 func (m *Manager) Tick(load float64, queueLen, programs int32) {

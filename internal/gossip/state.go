@@ -42,52 +42,33 @@ func (s Status) String() string {
 // Tombstone reports whether s marks a permanently departed site.
 func (s Status) Tombstone() bool { return s == StatusDead || s == StatusLeft }
 
-// Config parameterizes the protocol. Zero values select defaults tuned
-// for a 50–100ms tick: suspicion after ~1.5s of silence, a crash
-// tombstone ~3s later — deliberately lazier than the checkpoint
-// heartbeat (600ms), which stays the primary crash detector; gossip
-// suspicion is the backstop and the disseminator.
-type Config struct {
-	// Fanout is how many peers receive this site's digest per tick.
-	Fanout int
-	// DigestMax bounds the rows one digest carries: the own row, hot
+// The protocol clocks are tuned for a 50–100ms tick: suspicion after
+// ~1.5s of silence, a crash tombstone ~3s later — deliberately lazier
+// than the checkpoint heartbeat (600ms), which stays the primary crash
+// detector; gossip suspicion is the backstop and the disseminator.
+const (
+	// fanout is how many peers receive this site's digest per tick.
+	fanout = 3
+	// digestMax bounds the rows one digest carries: the own row, hot
 	// (recently changed) rows, and a rotating window over the rest.
-	DigestMax int
-	// SuspectAfter is the rounds of silence before an alive row turns
+	digestMax = 16
+	// suspectAfter is the rounds of silence before an alive row turns
 	// suspect, at a table small enough for every digest to cover it.
 	// Larger tables scale this by the refresh lag — see refreshLag.
-	SuspectAfter uint32
-	// DeadAfter is the additional rounds of silence before a suspect
+	suspectAfter = 30
+	// deadAfter is the additional rounds of silence before a suspect
 	// row becomes a crash tombstone.
-	DeadAfter uint32
-	// TombstoneTTL is how many rounds a tombstone keeps riding digests
+	deadAfter = 60
+	// tombstoneTTL is how many rounds a tombstone keeps riding digests
 	// after its last change. The row itself is kept forever (it fences
 	// stale revivals); only its airtime is bounded.
-	TombstoneTTL uint32
+	tombstoneTTL = 64
+)
+
+// Config parameterizes the protocol.
+type Config struct {
 	// Seed drives peer selection; 0 falls back to 1.
 	Seed int64
-}
-
-func (c Config) withDefaults() Config {
-	if c.Fanout <= 0 {
-		c.Fanout = 3
-	}
-	if c.DigestMax <= 0 {
-		c.DigestMax = 16
-	}
-	if c.SuspectAfter == 0 {
-		c.SuspectAfter = 30
-	}
-	if c.DeadAfter == 0 {
-		c.DeadAfter = 60
-	}
-	if c.TombstoneTTL == 0 {
-		c.TombstoneTTL = 64
-	}
-	if c.Seed == 0 {
-		c.Seed = 1
-	}
-	return c
 }
 
 // hotRides is how many outgoing digests a changed row rides before it
@@ -140,7 +121,6 @@ type row struct {
 // it single-threaded.
 type State struct {
 	self types.SiteID
-	cfg  Config
 	rng  *rand.Rand
 
 	round uint32
@@ -156,10 +136,11 @@ type State struct {
 // NewState builds a protocol instance for the given site. selfInfo is
 // this site's own cluster-list entry (the ID must be set).
 func NewState(selfInfo types.SiteInfo, cfg Config) *State {
-	cfg = cfg.withDefaults()
+	if cfg.Seed == 0 {
+		cfg.Seed = 1
+	}
 	s := &State{
 		self: selfInfo.ID,
-		cfg:  cfg,
 		rng:  rand.New(rand.NewSource(cfg.Seed)),
 		rows: make(map[types.SiteID]*row),
 	}
@@ -298,7 +279,7 @@ func (s *State) MarkGone(id types.SiteID, crashed bool) {
 // Accuse marks a live row suspect on external evidence — a failed
 // heartbeat probe. The accusation spreads as a hot row; a falsely
 // accused subject refutes it with a higher incarnation, a dead one
-// ages to a tombstone after DeadAfter rounds. A no-op for rows already
+// ages to a tombstone after deadAfter rounds. A no-op for rows already
 // suspect or tombstoned, so repeated probe failures cannot keep
 // resetting the death clock.
 func (s *State) Accuse(id types.SiteID) {
@@ -333,7 +314,7 @@ func (s *State) Leave() ([]types.SiteID, *wire.GossipDigest) {
 	r.entry.OriginRound = s.round
 	s.markHot(r)
 	s.left = true
-	return s.pickPeers(s.cfg.Fanout, types.InvalidSite), s.buildDigest()
+	return s.pickPeers(fanout, types.InvalidSite), s.buildDigest()
 }
 
 // Tick advances one protocol round: refresh the own row, age the
@@ -349,21 +330,21 @@ func (s *State) Tick() (targets []types.SiteID, digest *wire.GossipDigest, event
 	self.lastHeard = s.round
 
 	events = s.age(events)
-	return s.pickPeers(s.cfg.Fanout, types.InvalidSite), s.buildDigest(), events
+	return s.pickPeers(fanout, types.InvalidSite), s.buildDigest(), events
 }
 
 // refreshLag is the expected number of rounds between fresher copies
 // of any given row reaching this site: a site receives about
-// Fanout·DigestMax row-copies per round, spread across the whole
+// fanout·digestMax row-copies per round, spread across the whole
 // table. The suspicion clock scales by this factor so the silence
 // budget stays a constant number of expected refreshes at any cluster
-// size — with a fixed clock, a 256-site table's ~N/(Fanout·DigestMax)
+// size — with a fixed clock, a 256-site table's ~N/(fanout·digestMax)
 // refresh interval turns ordinary gossip jitter into a steady drizzle
 // of false accusations.
 //
 //sdvm:deterministic
 func (s *State) refreshLag() uint32 {
-	per := s.cfg.Fanout * s.cfg.DigestMax
+	per := fanout * digestMax
 	lag := (len(s.ids) + per - 1) / per
 	if lag < 1 {
 		lag = 1
@@ -374,9 +355,9 @@ func (s *State) refreshLag() uint32 {
 // age applies the suspicion clock to a rotating window of rows —
 // bounded work per tick; its own cursor (independent of the digest
 // window, which stalls when hot rows fill the digest) sweeps the whole
-// table every len(ids)/DigestMax ticks, which only stretches detection
+// table every len(ids)/digestMax ticks, which only stretches detection
 // by that many rounds. Alive→suspect scales with refreshLag;
-// suspect→dead stays at the configured DeadAfter, because a refutation
+// suspect→dead stays at deadAfter, because a refutation
 // travels the hot path (O(log N) rounds), not the rotating window.
 //
 //sdvm:deterministic
@@ -384,11 +365,11 @@ func (s *State) age(events []Event) []Event {
 	if len(s.ids) == 0 {
 		return events
 	}
-	n := s.cfg.DigestMax
+	n := digestMax
 	if n > len(s.ids) {
 		n = len(s.ids)
 	}
-	suspectAfter := s.cfg.SuspectAfter * s.refreshLag()
+	suspectAfter := suspectAfter * s.refreshLag()
 	for i := 0; i < n; i++ {
 		id := s.ids[s.ageCursor%len(s.ids)]
 		s.ageCursor = (s.ageCursor + 1) % len(s.ids)
@@ -400,7 +381,7 @@ func (s *State) age(events []Event) []Event {
 		case Status(r.entry.Status) == StatusAlive && s.round-r.lastHeard > suspectAfter:
 			r.entry.Status = uint8(StatusSuspect)
 			s.markHot(r) // stamps changed: the suspicion round starts the death clock
-		case Status(r.entry.Status) == StatusSuspect && s.round-r.changed > s.cfg.DeadAfter:
+		case Status(r.entry.Status) == StatusSuspect && s.round-r.changed > deadAfter:
 			r.entry.Status = uint8(StatusDead)
 			s.markHot(r)
 			events = append(events, Event{Kind: EventLeave, Site: id, Crashed: true})
@@ -419,18 +400,18 @@ func (s *State) buildDigest() *wire.GossipDigest {
 	d := &wire.GossipDigest{
 		From:    s.self,
 		Round:   s.round,
-		Entries: make([]wire.GossipEntry, 0, s.cfg.DigestMax),
-		Sites:   make([]types.SiteInfo, 0, s.cfg.DigestMax),
+		Entries: make([]wire.GossipEntry, 0, digestMax),
+		Sites:   make([]types.SiteInfo, 0, digestMax),
 	}
 	s.include(d, s.rows[s.self])
 
-	// Hot rows: serve the FIFO front, capped below DigestMax so a burst
+	// Hot rows: serve the FIFO front, capped below digestMax so a burst
 	// of changes (a churn storm, the seeding flood right after a mass
 	// sign-on) can never starve the rotation window — the window is
 	// what guarantees every row eventually rides. Served rows with
 	// budget left rotate to the back; unserved backlog keeps its place,
 	// so no rumor is ever dropped unsent, only delayed.
-	hotCap := s.cfg.DigestMax - s.cfg.DigestMax/4
+	hotCap := digestMax - digestMax/4
 	served := 0
 	kept := s.hot[:0]
 	var again []types.SiteID
@@ -460,10 +441,10 @@ func (s *State) buildDigest() *wire.GossipDigest {
 	// Rotating window over everything else.
 	if len(s.ids) > 0 {
 		steps := len(s.ids)
-		for i := 0; i < steps && len(d.Entries) < s.cfg.DigestMax; i++ {
+		for i := 0; i < steps && len(d.Entries) < digestMax; i++ {
 			r := s.rows[s.ids[s.cursor%len(s.ids)]]
 			s.cursor = (s.cursor + 1) % len(s.ids)
-			if Status(r.entry.Status).Tombstone() && s.round-r.changed > s.cfg.TombstoneTTL {
+			if Status(r.entry.Status).Tombstone() && s.round-r.changed > tombstoneTTL {
 				continue // fenced forever locally, but off the air
 			}
 			s.include(d, r)
@@ -493,7 +474,7 @@ func (s *State) SelfDigest() *wire.GossipDigest {
 
 // Rumor builds the immediate push for a site this table just learned
 // of (Announce reported it new): a digest carrying this site's row and
-// the newcomer's, bound for Fanout peers other than the newcomer, which
+// the newcomer's, bound for fanout peers other than the newcomer, which
 // already holds the sign-on snapshot. Like SelfDigest it advances no
 // round, runs no aging, consumes no ride budget and leaves the
 // per-round dedup untouched; the row stays hot for the regular rounds.
@@ -507,7 +488,7 @@ func (s *State) Rumor(id types.SiteID) ([]types.SiteID, *wire.GossipDigest) {
 			d.Sites = append(d.Sites, r.info)
 		}
 	}
-	return s.pickPeers(s.cfg.Fanout, id), d
+	return s.pickPeers(fanout, id), d
 }
 
 // include appends one row (and its routing info, if any) to d unless it

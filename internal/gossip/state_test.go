@@ -12,7 +12,7 @@ import (
 // row's stats refresh only every handful of rounds, so an aggressive
 // suspicion clock would drown the cluster in false accusations.
 func simConfig(seed int64) Config {
-	return Config{Fanout: 3, DigestMax: 16, Seed: seed}
+	return Config{Seed: seed}
 }
 
 func siteInfo(id types.SiteID) types.SiteInfo {
@@ -105,7 +105,7 @@ func (s *sim) stepsUntil(t *testing.T, limit int, what string, check func(st *St
 
 // TestConvergence256 is the scale acceptance test: a 256-site cluster
 // disseminates a join and then a crash to every member within a bounded
-// number of gossip rounds, with every digest staying within DigestMax.
+// number of gossip rounds, with every digest staying within digestMax.
 func TestConvergence256(t *testing.T) {
 	const n = 256
 	s := newSim(n)
@@ -131,14 +131,13 @@ func TestConvergence256(t *testing.T) {
 	})
 
 	// Site 7 crashes silently. Suspicion ages it out and the tombstone
-	// spreads; bounded by the aging-cursor sweep (n/DigestMax) plus the
+	// spreads; bounded by the aging-cursor sweep (n/digestMax) plus the
 	// two suspicion clocks plus dissemination.
 	s.crash(7)
-	cfg := simConfig(1).withDefaults()
 	// The alive→suspect clock scales with the table's refresh lag (see
 	// refreshLag); the death clock and the sweep cursor do not.
-	lag := (n + 1 + cfg.Fanout*cfg.DigestMax - 1) / (cfg.Fanout * cfg.DigestMax)
-	limit := n/cfg.DigestMax + int(cfg.SuspectAfter)*lag + int(cfg.DeadAfter) + 60
+	lag := (n + 1 + fanout*digestMax - 1) / (fanout * digestMax)
+	limit := n/digestMax + suspectAfter*lag + deadAfter + 60
 	rounds = s.stepsUntil(t, limit, "crash tombstone", func(st *State) bool {
 		e, ok := st.Lookup(7)
 		return ok && Status(e.Status).Tombstone()
@@ -147,7 +146,7 @@ func TestConvergence256(t *testing.T) {
 }
 
 // TestDigestBounded pins the O(fanout) property: no digest ever carries
-// more than DigestMax entries or targets more than Fanout peers, even
+// more than digestMax entries or targets more than fanout peers, even
 // from a site that knows hundreds of rows.
 func TestDigestBounded(t *testing.T) {
 	s := newSim(128)
@@ -348,7 +347,7 @@ func TestRumorPushesNewcomer(t *testing.T) {
 		t.Fatalf("push did not introduce the newcomer: %+v", events)
 	}
 
-	// A large table samples Fanout distinct peers, still never the
+	// A large table samples fanout distinct peers, still never the
 	// newcomer.
 	big := newSim(40).states[1]
 	big.Announce(siteInfo(41))
@@ -360,7 +359,7 @@ func TestRumorPushesNewcomer(t *testing.T) {
 		}
 		seen[id] = true
 	}
-	if len(targets) != simConfig(1).Fanout {
-		t.Fatalf("rumor reached %d peers, want %d", len(targets), simConfig(1).Fanout)
+	if len(targets) != fanout {
+		t.Fatalf("rumor reached %d peers, want %d", len(targets), fanout)
 	}
 }

@@ -378,15 +378,14 @@ func TestShardedConcurrentStress(t *testing.T) {
 	t.Logf("shard contention under stress: %d", m.Stats().ShardContention)
 }
 
-// TestShardDistribution pins the shardFor hash: sequentially allocated
+// TestShardDistribution pins the shardIndex hash: sequentially allocated
 // addresses (the overwhelmingly common pattern) must spread across all
 // shards instead of clustering, or the sharding buys nothing.
 func TestShardDistribution(t *testing.T) {
-	m := &Manager{}
-	counts := map[*memShard]int{}
+	counts := map[uint64]int{}
 	const n = 1 << 10
 	for i := uint64(1); i <= n; i++ {
-		counts[m.shardFor(types.GlobalAddr{Home: 1, Local: i})]++
+		counts[shardIndex(types.GlobalAddr{Home: 1, Local: i})]++
 	}
 	if len(counts) != shardCount {
 		t.Fatalf("%d shards used, want %d", len(counts), shardCount)
@@ -394,9 +393,16 @@ func TestShardDistribution(t *testing.T) {
 	for s, c := range counts {
 		// Perfectly uniform would be n/shardCount; allow 2x skew.
 		if c > 2*n/shardCount {
-			t.Fatalf("shard %p got %d of %d addresses", s, c, n)
+			t.Fatalf("shard %d got %d of %d addresses", s, c, n)
 		}
 	}
+}
+
+// grantedFrame builds a waiting one-slot frame homed at granter that
+// lives nowhere yet, as a frame handed to a peer in a help reply does:
+// it left the granter's queue and is known only to the grant log.
+func grantedFrame(granter *Manager, idx uint32) *wire.Microframe {
+	return wire.NewMicroframe(granter.newAddr(), thread(idx), 1)
 }
 
 // TestReclaimGrantsIsExclusiveWithCrashReplay pins the hand-back the
@@ -411,13 +417,9 @@ func TestReclaimGrantsIsExclusiveWithCrashReplay(t *testing.T) {
 	const n = 6
 	var ids []types.FrameID
 	for i := 0; i < n; i++ {
-		id := granter.NewFrame(thread(uint32(i)), 1, types.PriorityNormal, 0)
-		f, ok := granter.TakeFrame(id)
-		if !ok {
-			t.Fatalf("frame %v not resident", id)
-		}
+		f := grantedFrame(granter, uint32(i))
 		granter.RecordGrant(2, f)
-		ids = append(ids, id)
+		ids = append(ids, f.ID)
 	}
 
 	back := granter.ReclaimGrants(2, ids[:3])
@@ -455,13 +457,9 @@ func TestBatchGrantSurvivesGranterCrash(t *testing.T) {
 	const n = 8
 	var ids []types.FrameID
 	for i := 0; i < n; i++ {
-		id := granter.NewFrame(thread(uint32(i)), 1, types.PriorityNormal, 0)
-		f, ok := granter.TakeFrame(id)
-		if !ok {
-			t.Fatalf("frame %v not resident", id)
-		}
+		f := grantedFrame(granter, uint32(i))
 		granter.RecordGrant(2, f)
-		ids = append(ids, id)
+		ids = append(ids, f.ID)
 	}
 	if got := granter.FrameCount(); got != 0 {
 		t.Fatalf("%d frames still resident after grant", got)

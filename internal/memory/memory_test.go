@@ -294,13 +294,12 @@ func TestFrameMigrationReroutesParameters(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Migrate the waiting frame to b (as a sign-off or load-balancing
-	// decision would).
-	f, ok := a.TakeFrame(id)
-	if !ok {
-		t.Fatal("TakeFrame failed")
+	// Move the waiting frame to b the way a sign-off does: a
+	// FrameRelocate to b, whose AdoptFrame reports the new owner to the
+	// homesite a.
+	if err := a.EvacuateTo(b.bus.Self()); err != nil {
+		t.Fatal(err)
 	}
-	b.AdoptFrame(f)
 	testnet.WaitFor(t, "b holds the frame", func() bool { return b.FrameCount() == 1 })
 
 	// The last parameter, sent from c, must find the frame at b (via
@@ -410,6 +409,44 @@ func TestDropProgram(t *testing.T) {
 	m.DropProgram(prog())
 	if m.FrameCount() != 1 || m.ObjectCount() != 1 {
 		t.Fatalf("after drop: %d frames %d objects", m.FrameCount(), m.ObjectCount())
+	}
+}
+
+// TestDropProgramKeepsOtherProgramsReplicas pins program GC to the
+// program that ended: a site holding replicas of two programs' objects
+// keeps serving the live program from its replica after the other
+// program is dropped, and only the dropped program's replica is gone.
+func TestDropProgramKeepsOtherProgramsReplicas(t *testing.T) {
+	_, mems, _ := memCluster(t, 2)
+	owner, reader := mems[0], mems[1]
+	ended := types.MakeProgramID(1, 2)
+	live := owner.Alloc(prog(), []byte("live"))
+	dead := owner.Alloc(ended, []byte("dead"))
+	for _, addr := range []types.GlobalAddr{live, dead} {
+		if _, err := reader.Read(addr); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	reader.DropProgram(ended)
+	before := reader.Stats()
+	got, err := reader.Read(live)
+	if err != nil {
+		t.Fatal(err)
+	}
+	after := reader.Stats()
+	if string(got) != "live" {
+		t.Fatalf("read after drop = %q", got)
+	}
+	if after.ReplicaHits != before.ReplicaHits+1 || after.RemoteReads != before.RemoteReads {
+		t.Fatalf("live program's replica lost with the dropped program: %+v -> %+v", before, after)
+	}
+	s := reader.objectStore.shardFor(dead)
+	reader.lock(&s.mu)
+	_, cached := s.readCache[dead]
+	s.mu.Unlock()
+	if cached {
+		t.Fatal("dropped program's replica survived DropProgram")
 	}
 }
 
@@ -650,8 +687,8 @@ func TestReplicaPurgeOnCrash(t *testing.T) {
 	if reader.Stats().ReplicaInvals == 0 {
 		t.Fatal("crash purge not counted in ReplicaInvals")
 	}
-	s := reader.shardFor(addr)
-	reader.lockShard(s)
+	s := reader.objectStore.shardFor(addr)
+	reader.lock(&s.mu)
 	_, cached := s.readCache[addr]
 	s.mu.Unlock()
 	if cached {
@@ -667,8 +704,8 @@ func TestReplicaCopysetPurgeOnCrash(t *testing.T) {
 	if _, err := reader.Read(addr); err != nil {
 		t.Fatal(err)
 	}
-	s := owner.shardFor(addr)
-	owner.lockShard(s)
+	s := owner.objectStore.shardFor(addr)
+	owner.lock(&s.mu)
 	registered := s.copies[addr][2]
 	s.mu.Unlock()
 	if !registered {
@@ -679,7 +716,7 @@ func TestReplicaCopysetPurgeOnCrash(t *testing.T) {
 	// write would wait out the invalidation deadline for an ack that can
 	// never come.
 	owner.DropSiteReplicas(2)
-	owner.lockShard(s)
+	owner.lock(&s.mu)
 	_, still := s.copies[addr]
 	s.mu.Unlock()
 	if still {
@@ -692,9 +729,9 @@ func TestReplicaFetchPoisoning(t *testing.T) {
 	reader := mems[1]
 	addr := mems[0].Alloc(prog(), []byte("inflight"))
 
-	s := reader.shardFor(addr)
+	s := reader.objectStore.shardFor(addr)
 	st := &fetchState{done: make(chan struct{})}
-	reader.lockShard(s)
+	reader.lock(&s.mu)
 	s.fetching[addr] = st
 	s.mu.Unlock()
 
@@ -702,7 +739,7 @@ func TestReplicaFetchPoisoning(t *testing.T) {
 	// so its (possibly pre-write) result is never installed as a replica.
 	reader.dropReplicas(addr)
 
-	reader.lockShard(s)
+	reader.lock(&s.mu)
 	poisoned := st.poisoned
 	delete(s.fetching, addr)
 	s.mu.Unlock()
@@ -726,8 +763,8 @@ func TestReplicaFlushOnEvacuation(t *testing.T) {
 	if err := owner.EvacuateTo(2); err != nil {
 		t.Fatal(err)
 	}
-	s := reader.shardFor(addr)
-	reader.lockShard(s)
+	s := reader.objectStore.shardFor(addr)
+	reader.lock(&s.mu)
 	_, cached := s.readCache[addr]
 	s.mu.Unlock()
 	if cached {
@@ -769,8 +806,8 @@ func TestHeatMigrationMovesHome(t *testing.T) {
 	// The heat table travels with the object: with no further writes
 	// issued, heat at the new owner can only come from the transfer.
 	testnet.WaitFor(t, "heat table travelled with the object", func() bool {
-		s := writer.shardFor(addr)
-		writer.lockShard(s)
+		s := writer.objectStore.shardFor(addr)
+		writer.lock(&s.mu)
 		n := s.heat[addr][2]
 		s.mu.Unlock()
 		return n > 0

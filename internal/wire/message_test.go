@@ -40,7 +40,7 @@ func samplePayloads() []Payload {
 		&HelpReply{CantHelp: true},
 		&FramePush{Frame: frame},
 		&ApplyParam{Dst: Target{Addr: addr, Slot: 2}, Data: []byte("result")},
-		&MemRead{Addr: addr, Migrate: true},
+		&MemRead{Addr: addr},
 		&MemReadReply{Found: true, Object: MemObject{Addr: addr, Data: []byte{1, 2}, Version: 3}},
 		&MemReadReply{Found: true, Redirect: 7},
 		&MemReadReply{Found: false},
@@ -96,7 +96,7 @@ func samplePayloads() []Payload {
 		}, Sites: sites[:1]},
 		&GossipDelta{From: 9},
 		&MemReadReplica{Addr: addr},
-		&MemReplicaData{Found: true, Version: 5, Data: []byte{7, 8, 9}},
+		&MemReplicaData{Found: true, Version: 5, Data: []byte{7, 8, 9}, Program: types.MakeProgramID(2, 7)},
 		&MemReplicaData{Found: true, Redirect: 6},
 		&MemReplicaData{Found: false},
 		&MemHeatTransfer{Addr: addr, Sites: []types.SiteID{1, 4}, Heats: []uint32{12, 3}},

@@ -254,25 +254,19 @@ func (p *ApplyParam) UnmarshalWire(r *Reader) {
 	p.Data = r.Bytes32()
 }
 
-// MemRead asks for the current contents of a memory object. Sent first to
-// the object's homesite (decoded from the address); the homesite either
-// answers or redirects to the current owner.
+// MemRead attracts a memory object to the requester: the owner hands
+// the object over (write intent). Sent first to the object's homesite
+// (decoded from the address); the homesite either answers or redirects
+// to the current owner. Reads that only need a copy use MemReadReplica.
 type MemRead struct {
-	Addr    types.GlobalAddr
-	Migrate bool // true = attract the object here (write intent), false = copy
+	Addr types.GlobalAddr
 }
 
 func (*MemRead) Kind() Kind { return KindMemRead }
 
-func (p *MemRead) MarshalWire(w *Writer) {
-	w.Addr(p.Addr)
-	w.Bool(p.Migrate)
-}
+func (p *MemRead) MarshalWire(w *Writer) { w.Addr(p.Addr) }
 
-func (p *MemRead) UnmarshalWire(r *Reader) {
-	p.Addr = r.Addr()
-	p.Migrate = r.Bool()
-}
+func (p *MemRead) UnmarshalWire(r *Reader) { p.Addr = r.Addr() }
 
 // MemReadReply answers MemRead: the object, a redirect to its current
 // owner, or not-found.
@@ -1154,10 +1148,9 @@ func init() {
 }
 
 // MemReadReplica asks the owning site for a cached read replica of one
-// object. Unlike MemRead{Migrate:false} the owner registers the
-// requester in the object's replica set under the same lock that
-// serves the data, so a later write cannot commit without invalidating
-// this copy first.
+// object. The owner registers the requester in the object's replica set
+// under the same lock that serves the data, so a later write cannot
+// commit without invalidating this copy first.
 type MemReadReplica struct {
 	Addr types.GlobalAddr
 }
@@ -1169,14 +1162,17 @@ func (p *MemReadReplica) MarshalWire(w *Writer) { w.Addr(p.Addr) }
 func (p *MemReadReplica) UnmarshalWire(r *Reader) { p.Addr = r.Addr() }
 
 // MemReplicaData answers MemReadReplica: the object bytes plus the
-// version they correspond to, a redirect to the current owner, or
-// not-found. Version lets the requester tag its replica so stale
-// installs racing an invalidation can be detected and discarded.
+// version they correspond to and the program owning the object, a
+// redirect to the current owner, or not-found. Version lets the
+// requester tag its replica so stale installs racing an invalidation
+// can be detected and discarded; Program lets it drop the replica when
+// that program ends.
 type MemReplicaData struct {
 	Found    bool
-	Redirect types.SiteID // nonzero: ask this site instead
-	Version  uint64       // valid when Found and Redirect==0
-	Data     []byte       // valid when Found and Redirect==0
+	Redirect types.SiteID    // nonzero: ask this site instead
+	Version  uint64          // valid when Found and Redirect==0
+	Data     []byte          // valid when Found and Redirect==0
+	Program  types.ProgramID // valid when Found and Redirect==0
 }
 
 func (*MemReplicaData) Kind() Kind { return KindMemReplicaData }
@@ -1187,6 +1183,7 @@ func (p *MemReplicaData) MarshalWire(w *Writer) {
 	if p.Found && p.Redirect == types.InvalidSite {
 		w.Uint64(p.Version)
 		w.Bytes32(p.Data)
+		w.ProgramID(p.Program)
 	}
 }
 
@@ -1196,6 +1193,7 @@ func (p *MemReplicaData) UnmarshalWire(r *Reader) {
 	if p.Found && p.Redirect == types.InvalidSite {
 		p.Version = r.Uint64()
 		p.Data = r.Bytes32()
+		p.Program = r.ProgramID()
 	}
 }
 
